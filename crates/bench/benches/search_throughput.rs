@@ -1,9 +1,15 @@
 //! Simulator search throughput: MCAM array search vs software FP32 NN
 //! vs TCAM Hamming search, across array sizes — plus batch-size,
 //! thread-count, and execution-mode (f64 / f32 / codes) sweeps over the
-//! compiled multi-bank executor, recording a machine-readable baseline
-//! to `results/BENCH_search.json` (including per-mode `plan_bytes` and
+//! multi-bank memory, recording a machine-readable baseline to
+//! `results/BENCH_search.json` (including per-mode `plan_bytes` and
 //! `compile_ns`).
+//!
+//! Every banked sweep times the path production runs:
+//! `BankedMcam::search_batch_winners_with` on warm per-bank cached
+//! plans. Explicit thread counts reach it through `FEMCAM_THREADS`,
+//! which `par::max_threads` re-reads on every call (see
+//! [`with_threads`]).
 //!
 //! Sweep configs are deduplicated by *effective* worker count before
 //! timing: requested thread counts that the work-proportional gate
@@ -64,9 +70,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use femcam_core::{
-    par, BankedMcam, CodesDispatch, ConductanceLut, Euclidean, LevelLadder, McamArray,
-    McamSoftware, Metric, NnIndex, Precision, QuantizeStrategy, Quantizer, RoutedMcam,
-    RouterConfig, SoftwareNn, TcamArray,
+    par, BankedMcam, ConductanceLut, Euclidean, LevelLadder, McamArray, McamSoftware, Metric,
+    NnIndex, Precision, QuantizeStrategy, Quantizer, RoutedMcam, RouterConfig, SoftwareNn,
+    TcamArray,
 };
 use femcam_device::FefetModel;
 use femcam_lsh::RandomHyperplanes;
@@ -187,16 +193,37 @@ fn bench_variation_array(c: &mut Criterion) {
     });
 }
 
+/// Runs `f` with `FEMCAM_THREADS` set to `threads`, restoring the
+/// previous value afterwards. `par::max_threads` re-reads the variable
+/// on every call, so this drives the cached search path at an explicit
+/// thread budget without any extra entry point.
+fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    let previous = std::env::var("FEMCAM_THREADS").ok();
+    std::env::set_var("FEMCAM_THREADS", threads.to_string());
+    let out = f();
+    match previous {
+        Some(v) => std::env::set_var("FEMCAM_THREADS", v),
+        None => std::env::remove_var("FEMCAM_THREADS"),
+    }
+    out
+}
+
+/// One warm-plan banked winners search (the serving path).
+fn banked_winners(banked: &BankedMcam, refs: &[&[u8]], precision: Precision) -> Vec<(usize, f64)> {
+    banked.search_batch_winners_with(refs, precision).unwrap()
+}
+
 fn bench_batch_size_sweep(c: &mut Criterion) {
     let (banked, queries) = sweep_memory(7);
-    let plan = banked.compile().unwrap();
-    let threads = par::max_threads();
+    // Warm the per-bank f64 plans (a batch of one alone would take the
+    // cold-cache scalar fallback).
+    banked_winners(&banked, &queries_refs(&queries), Precision::F64);
     let mut group = c.benchmark_group("banked_batch_sweep_maxthreads");
     for &batch in &BATCH_SIZES {
-        let refs: Vec<&[u8]> = queries[..batch].iter().map(|q| q.as_slice()).collect();
+        let refs = queries_refs(&queries[..batch]);
         group.throughput(Throughput::Elements((batch * SWEEP_ROWS) as u64));
         group.bench_with_input(BenchmarkId::from_parameter(batch), &refs, |b, refs| {
-            b.iter(|| plan.search_batch(refs, threads).unwrap());
+            b.iter(|| banked_winners(&banked, refs, Precision::F64));
         });
     }
     group.finish();
@@ -204,17 +231,23 @@ fn bench_batch_size_sweep(c: &mut Criterion) {
 
 fn bench_thread_sweep(c: &mut Criterion) {
     let (banked, queries) = sweep_memory(8);
-    let plan = banked.compile().unwrap();
     let batch = *BATCH_SIZES.last().unwrap();
-    let refs: Vec<&[u8]> = queries[..batch].iter().map(|q| q.as_slice()).collect();
+    let refs = queries_refs(&queries[..batch]);
+    banked_winners(&banked, &refs, Precision::F64);
     let mut group = c.benchmark_group("banked_thread_sweep_batch1024");
     for threads in thread_counts() {
         group.throughput(Throughput::Elements((batch * SWEEP_ROWS) as u64));
         group.bench_with_input(BenchmarkId::from_parameter(threads), &refs, |b, refs| {
-            b.iter(|| plan.search_batch(refs, threads).unwrap());
+            with_threads(threads, || {
+                b.iter(|| banked_winners(&banked, refs, Precision::F64));
+            });
         });
     }
     group.finish();
+}
+
+fn queries_refs(queries: &[Vec<u8>]) -> Vec<&[u8]> {
+    queries.iter().map(Vec::as_slice).collect()
 }
 
 /// Per-config sampling window in milliseconds: `FEMCAM_BENCH_MS` when
@@ -739,7 +772,11 @@ fn record_search_baseline(_c: &mut Criterion) {
         return;
     }
     let (banked, queries) = sweep_memory(9);
-    let plan = banked.compile().unwrap();
+    // Warm every precision's per-bank plans: the sweeps below time the
+    // cached path, never a compile.
+    for precision in [Precision::F64, Precision::F32, Precision::Codes] {
+        banked_winners(&banked, &queries_refs(&queries), precision);
+    }
 
     // The seed scalar reference: one flat array, one query at a time,
     // row-by-row cell-by-cell LUT dispatch (exactly McamArray::search).
@@ -777,8 +814,10 @@ fn record_search_baseline(_c: &mut Criterion) {
         let effective = par::batch_threads(batch, per_query_work, requested);
         let refs: Vec<&[u8]> = queries[..batch].iter().map(|q| q.as_slice()).collect();
         let ns = *measured.entry((effective, batch)).or_insert_with(|| {
-            ns_per_query(batch, 2, || {
-                std::hint::black_box(plan.search_batch(&refs, effective).unwrap());
+            with_threads(effective, || {
+                ns_per_query(batch, 2, || {
+                    std::hint::black_box(banked_winners(&banked, &refs, Precision::F64));
+                })
             })
         });
         (effective, ns)
@@ -838,20 +877,29 @@ fn record_search_baseline(_c: &mut Criterion) {
         ));
     }
 
-    // Plan-mode accounting: compile each execution mode fresh against
-    // the same banked contents and record resident plan bytes plus the
-    // wall-clock compile cost. The codes mode is what lets one node
-    // keep millions of rows compiled (the `plan_bytes_f64_over_codes`
-    // ratio is asserted >= 16x in full mode).
-    let compile_timed = |f: &dyn Fn() -> usize| -> (usize, f64) {
-        let start = Instant::now();
-        let bytes = f();
-        (bytes, start.elapsed().as_nanos() as f64)
+    // Plan-mode accounting: on a fresh copy of the same banked
+    // contents, one cold batch-64 search per execution mode compiles
+    // that mode's per-bank cached plans. Resident plan bytes come from
+    // `plan_memory_bytes()` afterwards; the compile cost is the cold
+    // search's wall time minus a warm repeat's. The codes mode is what
+    // lets one node keep millions of rows compiled (the
+    // `plan_bytes_f64_over_codes` ratio is asserted >= 16x in full mode).
+    let (fresh, _) = sweep_memory(9);
+    let compile_refs = queries_refs(&queries[..64]);
+    let compile_timed = |precision: Precision| -> f64 {
+        let timed = || {
+            let start = Instant::now();
+            std::hint::black_box(banked_winners(&fresh, &compile_refs, precision));
+            start.elapsed().as_nanos() as f64
+        };
+        let cold = timed();
+        (cold - timed()).max(0.0)
     };
-    let (bytes_f64, compile_ns_f64) = compile_timed(&|| banked.compile().unwrap().plan_bytes());
-    let (bytes_f32, compile_ns_f32) = compile_timed(&|| banked.compile_f32().unwrap().plan_bytes());
-    let (bytes_codes, compile_ns_codes) =
-        compile_timed(&|| banked.compile_codes().unwrap().plan_bytes());
+    let compile_ns_f64 = compile_timed(Precision::F64);
+    let compile_ns_f32 = compile_timed(Precision::F32);
+    let compile_ns_codes = compile_timed(Precision::Codes);
+    let bytes = fresh.plan_memory_bytes();
+    let (bytes_f64, bytes_f32, bytes_codes) = (bytes.f64_plane, bytes.f32_plane, bytes.codes);
     let plan_mode_lines: Vec<String> = [
         ("f64", bytes_f64, compile_ns_f64),
         ("f32", bytes_f32, compile_ns_f32),
@@ -867,8 +915,6 @@ fn record_search_baseline(_c: &mut Criterion) {
     // Execution-mode sweep (f64 reference vs the opt-in f32 plane
     // kernel vs the packed-code LUT-gather kernel) on the same
     // multi-bank geometry.
-    let plan32 = banked.compile_f32().unwrap();
-    let plan_codes = banked.compile_codes().unwrap();
     let mut precision_lines = Vec::new();
     let mut speedup_f32 = 0.0f64;
     let mut speedup_codes = 0.0f64;
@@ -876,11 +922,13 @@ fn record_search_baseline(_c: &mut Criterion) {
     for &batch in BATCH_SIZES.iter().filter(|&&b| b >= 64) {
         let refs: Vec<&[u8]> = queries[..batch].iter().map(|q| q.as_slice()).collect();
         let (eff, ns64) = measure(max_threads, batch, &mut measured);
-        let ns32 = ns_per_query(batch, 2, || {
-            std::hint::black_box(plan32.search_batch(&refs, eff).unwrap());
-        });
-        let ns_codes = ns_per_query(batch, 2, || {
-            std::hint::black_box(plan_codes.search_batch(&refs, eff).unwrap());
+        let (ns32, ns_codes) = with_threads(eff, || {
+            let time = |precision| {
+                ns_per_query(batch, 2, || {
+                    std::hint::black_box(banked_winners(&banked, &refs, precision));
+                })
+            };
+            (time(Precision::F32), time(Precision::Codes))
         });
         if batch == 64 {
             // The offline reference the serving contract compares
@@ -928,9 +976,11 @@ fn record_search_baseline(_c: &mut Criterion) {
                     .unwrap(),
             );
         });
-        let plan_bytes = CodesDispatch::compile_snapshot_metric(&flat, metric)
-            .unwrap()
-            .plan_bytes();
+        // The codes slot's growth from one warm search at this metric.
+        let before = flat.plan_memory_bytes().codes;
+        flat.search_batch_winners_with_metric(&metric_refs, Precision::Codes, metric)
+            .unwrap();
+        let plan_bytes = flat.plan_memory_bytes().codes - before;
         metric_us.insert(metric.name(), ns / 1e3);
         metric_lines.push(format!(
             "    {{\"metric\": \"{}\", \"precision\": \"codes\", \
