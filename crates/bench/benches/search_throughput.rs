@@ -71,8 +71,8 @@ use rand::{Rng, SeedableRng};
 
 use femcam_core::{
     par, BankedMcam, ConductanceLut, Euclidean, LevelLadder, McamArray, McamSoftware, Metric,
-    NnIndex, Precision, QuantizeStrategy, Quantizer, RoutedMcam, RouterConfig, SoftwareNn,
-    TcamArray,
+    NnIndex, Precision, QuantizeStrategy, Quantizer, RoutedMcam, RouterConfig, SearchSpec,
+    SoftwareNn, TcamArray,
 };
 use femcam_device::FefetModel;
 use femcam_lsh::RandomHyperplanes;
@@ -206,6 +206,14 @@ fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
         None => std::env::remove_var("FEMCAM_THREADS"),
     }
     out
+}
+
+/// The packed-code search settings at `metric`.
+fn codes_at(metric: Metric) -> SearchSpec {
+    SearchSpec {
+        precision: Precision::Codes,
+        metric,
+    }
 }
 
 /// One warm-plan banked winners search (the serving path).
@@ -967,18 +975,18 @@ fn record_search_baseline(_c: &mut Criterion) {
         // Warm the (codes, metric) cache slot so the compile is not
         // part of the timed window.
         banked
-            .search_batch_winners_with_metric(&metric_refs, Precision::Codes, metric)
+            .search_batch_winners_with(&metric_refs, codes_at(metric))
             .unwrap();
         let ns = ns_per_query(metric_batch, 2, || {
             std::hint::black_box(
                 banked
-                    .search_batch_winners_with_metric(&metric_refs, Precision::Codes, metric)
+                    .search_batch_winners_with(&metric_refs, codes_at(metric))
                     .unwrap(),
             );
         });
         // The codes slot's growth from one warm search at this metric.
         let before = flat.plan_memory_bytes().codes;
-        flat.search_batch_winners_with_metric(&metric_refs, Precision::Codes, metric)
+        flat.search_batch_winners_with(&metric_refs, codes_at(metric))
             .unwrap();
         let plan_bytes = flat.plan_memory_bytes().codes - before;
         metric_us.insert(metric.name(), ns / 1e3);

@@ -9,7 +9,7 @@
 
 use std::time::Instant;
 
-use femcam_core::{CompiledCodes, CompiledMcam, ConductanceLut, LevelLadder, McamArray};
+use femcam_core::{ConductanceLut, LevelLadder, McamArray, Precision};
 use femcam_device::FefetModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -40,8 +40,10 @@ fn main() {
     let queries: Vec<Vec<u8>> = (0..1024)
         .map(|_| (0..WORD_LEN).map(|_| rng.gen_range(0..8u8)).collect())
         .collect();
-    let plan32 = CompiledMcam::<f32>::compile(&array).unwrap();
-    let codes = CompiledCodes::compile(&array).unwrap();
+    // The array's cached plans, run single-threaded through the same
+    // batch drivers the search entry points use.
+    let plan32 = array.plan(Precision::F32).unwrap();
+    let codes = array.plan(Precision::Codes).unwrap();
     println!(
         "flat {ROWS}x{WORD_LEN} 3-bit; plan bytes: f32 {} codes {}",
         plan32.plan_bytes(),

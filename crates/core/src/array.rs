@@ -23,7 +23,8 @@ use std::sync::Arc;
 use crate::cell::McamCell;
 use crate::error::CoreError;
 use crate::exec::{
-    self, CodesDispatch, CompiledMcam, Metric, PlanCache, PlanMemoryBytes, PlaneScalar, Precision,
+    self, CodesDispatch, CompiledMcam, Metric, Plan, PlanCache, PlanMemoryBytes, PlaneScalar,
+    Precision, SearchSpec,
 };
 use crate::levels::LevelLadder;
 use crate::lut::ConductanceLut;
@@ -533,106 +534,40 @@ impl McamArray {
         Ok(SearchOutcome { conductances })
     }
 
-    /// Compiles the array's current contents into a reusable
-    /// plane-major query plan (see [`crate::exec`]). This is an
-    /// explicit snapshot; prefer the cached entry points
-    /// ([`compiled`](Self::compiled), [`search_batch`](Self::search_batch))
-    /// unless you need one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::EmptyArray`] if nothing is stored.
-    pub fn compile(&self) -> Result<CompiledMcam> {
-        CompiledMcam::compile(self)
-    }
-
-    /// The cached compiled plan for plane scalar `S`, compiling it on
+    /// The cached compiled plan `spec` executes on, compiling it on
     /// first use; every [`store`](Self::store) invalidates the cache so
     /// the next call transparently recompiles against the new contents.
+    /// A codes spec on a per-cell (variation) array gets the `f32`
+    /// plane fallback ([`CodesDispatch::Planes`]) under the conductance
+    /// metric — see [`crate::exec`]'s "Codes mode". Unlike the search
+    /// entry points, this always compiles: it is the way to inspect
+    /// a plan, never the cold-cache `f64` scalar fallback.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::EmptyArray`] if nothing is stored.
-    pub fn cached_plan<S: PlaneScalar>(&self) -> Result<Arc<CompiledMcam<S>>> {
-        self.plans.get_or_compile::<S>(self, Metric::default())
+    pub fn plan(&self, spec: impl Into<SearchSpec>) -> Result<Plan> {
+        self.plans.get_or_compile(self, spec.into())
     }
 
-    /// The cached compiled plan for plane scalar `S` at a chosen
-    /// [`Metric`], compiling it on first use — the per-metric face of
-    /// [`cached_plan`](Self::cached_plan).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::EmptyArray`] if nothing is stored.
-    pub fn cached_plan_metric<S: PlaneScalar>(
+    /// The cached plane plan for `S` at `metric` (crate-internal: the
+    /// typed per-bank view the banked merge sweeps).
+    pub(crate) fn plane_plan<S: PlaneScalar>(
         &self,
         metric: Metric,
     ) -> Result<Arc<CompiledMcam<S>>> {
-        self.plans.get_or_compile::<S>(self, metric)
+        self.plans.plane::<S>(self, metric)
     }
 
-    /// The cached plan for `S` (default metric) if one is currently
-    /// compiled, without compiling on a miss.
-    pub fn cached_plan_if_warm<S: PlaneScalar>(&self) -> Option<Arc<CompiledMcam<S>>> {
-        self.plans.cached::<S>(Metric::default())
+    /// The cached codes-mode engine at `metric` (crate-internal, like
+    /// [`plane_plan`](Self::plane_plan)).
+    pub(crate) fn codes_plan(&self, metric: Metric) -> Result<CodesDispatch> {
+        self.plans.codes(self, metric)
     }
 
-    /// [`cached_plan_if_warm`](Self::cached_plan_if_warm) at a chosen
-    /// [`Metric`].
-    pub fn cached_plan_if_warm_metric<S: PlaneScalar>(
-        &self,
-        metric: Metric,
-    ) -> Option<Arc<CompiledMcam<S>>> {
-        self.plans.cached::<S>(metric)
-    }
-
-    /// The cached `f64` (reference, bit-identical) compiled plan.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::EmptyArray`] if nothing is stored.
-    pub fn compiled(&self) -> Result<Arc<CompiledMcam<f64>>> {
-        self.cached_plan::<f64>()
-    }
-
-    /// The cached `f32` (opt-in fast mode) compiled plan — see
-    /// [`crate::exec`]'s "Precision modes" for the accuracy contract.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::EmptyArray`] if nothing is stored.
-    pub fn compiled_f32(&self) -> Result<Arc<CompiledMcam<f32>>> {
-        self.cached_plan::<f32>()
-    }
-
-    /// The cached codes-mode execution engine ([`Precision::Codes`]):
-    /// the byte-packed LUT-gather plan on shared-LUT arrays, or the
-    /// `f32` plane plan on per-cell (variation) arrays — the dispatch
-    /// is transparent ([`CodesDispatch::is_packed`] tells you which).
-    /// Every [`store`](Self::store) invalidates the cache. Unlike the
-    /// `f64` path there is no cold-cache scalar fallback: compiling a
-    /// code plan costs about one scalar query
-    /// ([`exec::CODES_COMPILE_THRESHOLD`] is 1), so even a lone query
-    /// compiles eagerly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::EmptyArray`] if nothing is stored.
-    pub fn compiled_codes(&self) -> Result<CodesDispatch> {
-        self.plans.get_or_compile_codes(self, Metric::default())
-    }
-
-    /// The cached codes-mode execution engine at a chosen [`Metric`] —
-    /// the per-metric face of [`compiled_codes`](Self::compiled_codes).
-    /// Synthesized (digital) metrics pack even on per-cell (variation)
-    /// arrays; only the default conductance metric falls back to `f32`
-    /// planes there.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::EmptyArray`] if nothing is stored.
-    pub fn compiled_codes_metric(&self, metric: Metric) -> Result<CodesDispatch> {
-        self.plans.get_or_compile_codes(self, metric)
+    /// The cached `f64` plan at `metric`, if warm (never compiles).
+    pub(crate) fn warm_f64_plan(&self, metric: Metric) -> Option<Arc<CompiledMcam<f64>>> {
+        self.plans.warm_f64(metric)
     }
 
     /// Resident bytes of the cached compiled plans, one field per
@@ -644,255 +579,140 @@ impl McamArray {
         self.plans.memory_bytes()
     }
 
-    /// The `f64` plan the current workload should execute on: the
-    /// cached plan when warm (reusing it is free), a fresh cached
-    /// compile when `batch` queries amortize the `n_levels` plane
-    /// fills, and `None` — run the bit-identical scalar path — when the
-    /// cache is cold and the batch is too small to pay for compiling
-    /// (e.g. single queries interleaved with stores).
-    fn f64_plan_for(&self, batch: usize, metric: Metric) -> Result<Option<Arc<CompiledMcam<f64>>>> {
-        if let Some(plan) = self.plans.cached::<f64>(metric) {
-            return Ok(Some(plan));
+    /// The plan a batch of `batch` queries at `spec` should execute on:
+    /// the cached plan when warm (reusing it is free) or when it is
+    /// cheap to compile, and `None` — run the bit-identical scalar
+    /// path — for an `f64` spec whose cache is cold while the batch is
+    /// too small to pay for the `n_levels` plane fills (e.g. single
+    /// queries interleaved with stores). Codes plans compile eagerly
+    /// ([`exec::CODES_COMPILE_THRESHOLD`]).
+    fn plan_for(&self, batch: usize, spec: SearchSpec) -> Result<Option<Plan>> {
+        if spec.precision == Precision::F64
+            && batch < self.ladder.n_levels()
+            && self.plans.warm_f64(spec.metric).is_none()
+        {
+            return Ok(None);
         }
-        if batch >= self.ladder.n_levels() {
-            return self.cached_plan_metric::<f64>(metric).map(Some);
-        }
-        Ok(None)
+        self.plan(spec).map(Some)
     }
 
-    /// Runs one search through the cached compiled plan at the chosen
-    /// [`Precision`]. At [`Precision::F64`] the outcome is bit-identical
-    /// to [`search`](Self::search) (and falls back to the scalar path
-    /// while the cache is cold — a lone query never pays for a
-    /// compile); [`Precision::F32`] always executes compiled, trading
-    /// the documented accuracy contract for roughly 2× throughput.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search`](Self::search).
-    pub fn search_with(&self, query: &[u8], precision: Precision) -> Result<SearchOutcome> {
-        self.search_with_metric(query, precision, Metric::default())
-    }
-
-    /// [`search_with`](Self::search_with) at a chosen [`Metric`]: the
-    /// same cached-plan execution with per-cell values and fold
-    /// selected by `metric` (see [`crate::exec`]'s "Metric modes"). At
-    /// [`Precision::F64`] the outcome is bit-identical to the scalar
-    /// per-metric oracle [`search_metric`](Self::search_metric).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search`](Self::search).
-    pub fn search_with_metric(
+    /// The shared body of the batch entry points: the empty-array and
+    /// empty-batch contract, then either `compiled` on the plan
+    /// [`plan_for`](Self::plan_for) picks, or the scalar per-metric
+    /// oracle per query, shaped by `scalar`.
+    fn run_batch<R>(
         &self,
-        query: &[u8],
-        precision: Precision,
-        metric: Metric,
-    ) -> Result<SearchOutcome> {
-        match precision {
-            Precision::F64 => match self.f64_plan_for(1, metric)? {
-                Some(plan) => plan.search(query),
-                None => self.search_metric(query, metric),
-            },
-            Precision::F32 => self.cached_plan_metric::<f32>(metric)?.search(query),
-            Precision::Codes => self.compiled_codes_metric(metric)?.search(query),
+        queries: &[&[u8]],
+        spec: SearchSpec,
+        compiled: impl FnOnce(&Plan, usize) -> Result<Vec<R>>,
+        scalar: impl Fn(SearchOutcome) -> R,
+    ) -> Result<Vec<R>> {
+        if self.is_empty() {
+            return Err(CoreError::EmptyArray);
+        }
+        if queries.is_empty() {
+            return Ok(Vec::new());
+        }
+        match self.plan_for(queries.len(), spec)? {
+            Some(plan) => compiled(&plan, par::max_threads()),
+            None => queries
+                .iter()
+                .map(|q| self.search_metric(q, spec.metric).map(&scalar))
+                .collect(),
         }
     }
 
     /// Searches a batch of queries (e.g. a MANN query set applied
     /// back-to-back to the same programmed array) through the cached
-    /// compiled plan, with queries sharded across worker threads
-    /// ([`crate::exec`]). Outcomes are bit-identical to the scalar
-    /// [`search`](Self::search), in query order; the plan compiles on
-    /// the first call after a mutation and is reused afterwards.
+    /// compiled plan `spec` selects, with queries sharded across worker
+    /// threads ([`crate::exec`]), and returns every row's score per
+    /// query, in query order. The plan compiles on the first call after
+    /// a mutation and is reused afterwards. At [`Precision::F64`] the
+    /// outcomes are bit-identical to the scalar per-metric oracle
+    /// [`search_metric`](Self::search_metric) (and a cold cache falls
+    /// back to it while the batch is too small to pay for a compile);
+    /// the fast modes carry [`crate::exec`]'s accuracy contract.
     ///
     /// # Empty-batch contract
     ///
     /// All batch entry points on this type (and on
-    /// [`crate::banked::BankedMcam`]) share one contract with
-    /// [`search`](Self::search): an empty **array** is an error first —
-    /// [`CoreError::EmptyArray`], even when the batch is also empty —
-    /// while an empty **batch** against a nonempty array is a no-op
-    /// (`Ok(vec![])`). A caller that cannot search one query at a time
-    /// cannot search zero of them in a batch either.
+    /// [`crate::banked::BankedMcam`] and [`crate::router::RoutedMcam`])
+    /// share one contract with [`search`](Self::search): an empty
+    /// **array** is an error first — [`CoreError::EmptyArray`], even
+    /// when the batch is also empty — while an empty **batch** against
+    /// a nonempty array is a no-op (`Ok(vec![])`). A caller that cannot
+    /// search one query at a time cannot search zero of them in a batch
+    /// either.
     ///
     /// # Errors
     ///
     /// * [`CoreError::EmptyArray`] if nothing is stored (even for an
     ///   empty batch).
-    /// * Otherwise the first failing [`search`](Self::search) in query
-    ///   order.
-    pub fn search_batch<'a, I>(&self, queries: I) -> Result<Vec<SearchOutcome>>
-    where
-        I: IntoIterator<Item = &'a [u8]>,
-    {
-        let queries: Vec<&[u8]> = queries.into_iter().collect();
-        self.search_batch_with(&queries, Precision::F64)
-    }
-
-    /// [`search_batch`](Self::search_batch) at a chosen [`Precision`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search_batch`](Self::search_batch).
+    /// * Otherwise the first malformed query in query order
+    ///   ([`CoreError::WordLengthMismatch`] /
+    ///   [`CoreError::LevelOutOfRange`]).
     pub fn search_batch_with(
         &self,
         queries: &[&[u8]],
-        precision: Precision,
+        spec: impl Into<SearchSpec>,
     ) -> Result<Vec<SearchOutcome>> {
-        self.search_batch_with_metric(queries, precision, Metric::default())
+        self.run_batch(
+            queries,
+            spec.into(),
+            |plan, threads| plan.search_batch(queries, threads),
+            |outcome| outcome,
+        )
     }
 
-    /// [`search_batch_with`](Self::search_batch_with) at a chosen
-    /// [`Metric`].
+    /// Each query's nearest row as `(row, score)` through the cached
+    /// plan — the allocation-free winners kernel (no per-row vector is
+    /// materialized per query).
     ///
     /// # Errors
     ///
-    /// Same conditions as [`search_batch`](Self::search_batch).
-    pub fn search_batch_with_metric(
-        &self,
-        queries: &[&[u8]],
-        precision: Precision,
-        metric: Metric,
-    ) -> Result<Vec<SearchOutcome>> {
-        if self.is_empty() {
-            return Err(CoreError::EmptyArray);
-        }
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        let threads = par::max_threads();
-        match precision {
-            Precision::F64 => match self.f64_plan_for(queries.len(), metric)? {
-                Some(plan) => plan.search_batch(queries, threads),
-                None => queries
-                    .iter()
-                    .map(|q| self.search_metric(q, metric))
-                    .collect(),
-            },
-            Precision::F32 => self
-                .cached_plan_metric::<f32>(metric)?
-                .search_batch(queries, threads),
-            Precision::Codes => self
-                .compiled_codes_metric(metric)?
-                .search_batch(queries, threads),
-        }
-    }
-
-    /// Each query's nearest row as `(row, total_conductance)` through
-    /// the cached plan — the allocation-free winners kernel (no per-row
-    /// vector is materialized per query).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search_batch`](Self::search_batch).
+    /// Same conditions as [`search_batch_with`](Self::search_batch_with).
     pub fn search_batch_winners_with(
         &self,
         queries: &[&[u8]],
-        precision: Precision,
+        spec: impl Into<SearchSpec>,
     ) -> Result<Vec<(usize, f64)>> {
-        self.search_batch_winners_with_metric(queries, precision, Metric::default())
-    }
-
-    /// [`search_batch_winners_with`](Self::search_batch_winners_with)
-    /// at a chosen [`Metric`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search_batch`](Self::search_batch).
-    pub fn search_batch_winners_with_metric(
-        &self,
-        queries: &[&[u8]],
-        precision: Precision,
-        metric: Metric,
-    ) -> Result<Vec<(usize, f64)>> {
-        if self.is_empty() {
-            return Err(CoreError::EmptyArray);
-        }
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        let threads = par::max_threads();
-        match precision {
-            Precision::F64 => match self.f64_plan_for(queries.len(), metric)? {
-                Some(plan) => plan.search_batch_winners(queries, threads),
-                None => queries
-                    .iter()
-                    .map(|q| {
-                        let outcome = self.search_metric(q, metric)?;
-                        let best = outcome.best_row();
-                        Ok((best, outcome.conductance(best)))
-                    })
-                    .collect(),
+        self.run_batch(
+            queries,
+            spec.into(),
+            |plan, threads| plan.search_batch_winners(queries, threads),
+            |outcome| {
+                let best = outcome.best_row();
+                (best, outcome.conductance(best))
             },
-            Precision::F32 => self
-                .cached_plan_metric::<f32>(metric)?
-                .search_batch_winners(queries, threads),
-            Precision::Codes => self
-                .compiled_codes_metric(metric)?
-                .search_batch_winners(queries, threads),
-        }
+        )
     }
 
-    /// Each query's `k` nearest rows as `(row, total_conductance)`
-    /// (nearest first) through the cached plan, using the reusable
-    /// bounded-heap kernel.
+    /// Each query's `k` nearest rows as `(row, score)` (nearest first)
+    /// through the cached plan, using the reusable bounded-heap kernel
+    /// — which works unchanged for every metric, because every metric's
+    /// scores obey "smaller = nearer". `k` is clamped, never an error.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`search_batch`](Self::search_batch).
+    /// Same conditions as [`search_batch_with`](Self::search_batch_with).
     pub fn search_batch_top_k_with(
         &self,
         queries: &[&[u8]],
         k: usize,
-        precision: Precision,
+        spec: impl Into<SearchSpec>,
     ) -> Result<Vec<Vec<(usize, f64)>>> {
-        self.search_batch_top_k_with_metric(queries, k, precision, Metric::default())
-    }
-
-    /// [`search_batch_top_k_with`](Self::search_batch_top_k_with) at a
-    /// chosen [`Metric`] — the bounded-heap selection works unchanged
-    /// because every metric's scores obey "smaller = nearer".
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search_batch`](Self::search_batch).
-    pub fn search_batch_top_k_with_metric(
-        &self,
-        queries: &[&[u8]],
-        k: usize,
-        precision: Precision,
-        metric: Metric,
-    ) -> Result<Vec<Vec<(usize, f64)>>> {
-        if self.is_empty() {
-            return Err(CoreError::EmptyArray);
-        }
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        let threads = par::max_threads();
-        match precision {
-            Precision::F64 => match self.f64_plan_for(queries.len(), metric)? {
-                Some(plan) => plan.search_batch_top_k(queries, k, threads),
-                None => queries
-                    .iter()
-                    .map(|q| {
-                        let outcome = self.search_metric(q, metric)?;
-                        Ok(outcome
-                            .top_k(k)
-                            .into_iter()
-                            .map(|r| (r, outcome.conductance(r)))
-                            .collect())
-                    })
-                    .collect(),
+        self.run_batch(
+            queries,
+            spec.into(),
+            |plan, threads| plan.search_batch_top_k(queries, k, threads),
+            |outcome| {
+                outcome
+                    .top_k(k)
+                    .into_iter()
+                    .map(|r| (r, outcome.conductance(r)))
+                    .collect()
             },
-            Precision::F32 => self
-                .cached_plan_metric::<f32>(metric)?
-                .search_batch_top_k(queries, k, threads),
-            Precision::Codes => self
-                .compiled_codes_metric(metric)?
-                .search_batch_top_k(queries, k, threads),
-        }
+        )
     }
 
     /// Conventional exact-match search: rows whose every cell matches the

@@ -5,20 +5,25 @@
 //! margins, so a realistic deployment splits a large memory across
 //! fixed-size banks, searches them in parallel, and merges the per-bank
 //! winners in a second (digital) stage — a hierarchical winner-take-all.
-//! [`BankedMcam`] models exactly that on top of [`McamArray`], and the
-//! simulation really is parallel: single-query searches shard banks
-//! across worker threads ([`crate::par`]), batched searches run through
-//! per-bank compiled plans ([`crate::exec`]), and the winner merge is a
-//! fixed-order fold over per-bank results in bank order, so every path
-//! is bit-identical to a sequential bank-by-bank sweep.
+//! [`BankedMcam`] models exactly that on top of [`McamArray`].
+//!
+//! A search names its settings once, as a [`SearchSpec`] (precision
+//! and metric; a bare [`Precision`] converts), and picks its result
+//! shape by entry point: winners or top-k, over every bank or over a
+//! bank mask. The full sweep *is* the masked sweep with the all-banks
+//! mask (the [bank-mask contract](crate::exec#bank-mask-contract)).
+//! Batches run through each bank's cached compiled plan
+//! ([`crate::exec`]), with query groups sharded across worker threads
+//! ([`crate::par`]), and the winner merge is a fixed-order fold over
+//! per-bank results in bank order, so every path is bit-identical to a
+//! sequential bank-by-bank sweep.
 
 use std::sync::Arc;
 
 use crate::array::{McamArray, McamArrayBuilder, SearchOutcome};
 use crate::error::CoreError;
 use crate::exec::{
-    self, CodesDispatch, CompiledBanked, CompiledBankedCodes, CompiledMcam, Metric,
-    PlanMemoryBytes, PlaneScalar, Precision,
+    self, BlockKernel, CompiledMcam, Metric, PlanMemoryBytes, Precision, SearchSpec,
 };
 use crate::levels::LevelLadder;
 use crate::lut::ConductanceLut;
@@ -31,7 +36,7 @@ use crate::Result;
 ///
 /// ```
 /// use femcam_core::banked::BankedMcam;
-/// use femcam_core::{ConductanceLut, LevelLadder};
+/// use femcam_core::{ConductanceLut, LevelLadder, Metric, Precision, SearchSpec};
 /// use femcam_device::FefetModel;
 ///
 /// # fn main() -> femcam_core::Result<()> {
@@ -42,7 +47,12 @@ use crate::Result;
 ///     banked.store(&row)?;
 /// }
 /// assert_eq!(banked.n_banks(), 2);
-/// assert_eq!(banked.search(&[1, 1, 2, 3])?.0, 2); // global row index
+/// let query: &[u8] = &[1, 1, 2, 3];
+/// let winners = banked.search_batch_winners_with(&[query], Precision::Codes)?;
+/// assert_eq!(winners[0].0, 2); // global row index
+/// // The same search under the digital L1 metric, and over bank 1 only.
+/// let l1 = SearchSpec { precision: Precision::Codes, metric: Metric::L1 };
+/// assert_eq!(banked.search_batch_winners_masked(&[query], l1, &[1])?[0].0, 2);
 /// # Ok(())
 /// # }
 /// ```
@@ -130,8 +140,8 @@ impl BankedMcam {
     /// # Errors
     ///
     /// [`CoreError::WordLengthMismatch`] /
-    /// [`CoreError::LevelOutOfRange`] exactly as
-    /// [`search`](Self::search) would report them.
+    /// [`CoreError::LevelOutOfRange`] exactly as a search would report
+    /// them.
     pub fn check_query(&self, query: &[u8]) -> Result<()> {
         exec::validate_query(self.word_len, self.ladder.n_levels(), query)
     }
@@ -266,390 +276,9 @@ impl BankedMcam {
         Ok(bank_idx * self.rows_per_bank + local)
     }
 
-    /// The per-bank cached compiled plans for plane scalar `S`; each
-    /// bank compiles lazily and recompiles only when *that* bank has
-    /// mutated since its last compile (storing a row dirties one bank,
-    /// not the whole memory).
-    fn bank_plans<S: PlaneScalar>(&self, metric: Metric) -> Result<Vec<Arc<CompiledMcam<S>>>> {
-        if self.is_empty() {
-            return Err(CoreError::EmptyArray);
-        }
-        self.banks
-            .iter()
-            .map(|b| b.cached_plan_metric::<S>(metric))
-            .collect()
-    }
-
-    /// Like [`bank_plans`](Self::bank_plans), but only when every bank
-    /// already holds a warm plan, or `batch` queries amortize compiling
-    /// the cold ones; `None` means the bit-identical scalar sweep
-    /// should serve this call (cold cache, workload too small to pay
-    /// for `n_levels` plane fills per bank).
-    fn f64_bank_plans_for(
-        &self,
-        batch: usize,
-        metric: Metric,
-    ) -> Result<Option<Vec<Arc<CompiledMcam<f64>>>>> {
-        if self.is_empty() {
-            return Err(CoreError::EmptyArray);
-        }
-        let warm: Option<Vec<_>> = self
-            .banks
-            .iter()
-            .map(|b| b.cached_plan_if_warm_metric::<f64>(metric))
-            .collect();
-        if warm.is_some() {
-            return Ok(warm);
-        }
-        if batch >= self.ladder.n_levels() {
-            return self.bank_plans::<f64>(metric).map(Some);
-        }
-        Ok(None)
-    }
-
-    /// The pre-PR-2 scalar reference sweep: per-bank physics-path
-    /// searches (sharded across workers), winners merged in bank order.
-    fn search_scalar(&self, query: &[u8], metric: Metric) -> Result<(usize, f64)> {
-        let per_bank = par::try_par_map(&self.banks, self.search_threads(), |_, bank| {
-            bank.search_metric(query, metric)
-        })?;
-        let mut best: Option<(usize, f64)> = None;
-        for (bank_idx, outcome) in per_bank.iter().enumerate() {
-            let local = outcome.best_row();
-            let g = outcome.conductance(local);
-            let global = bank_idx * self.rows_per_bank + local;
-            if best.is_none_or(|(_, bg)| g < bg) {
-                best = Some((global, g));
-            }
-        }
-        // femcam::allow(no_panic): guarded by the is_empty check above.
-        Ok(best.expect("nonempty banked memory"))
-    }
-
-    fn search_impl<S: PlaneScalar>(&self, query: &[u8], metric: Metric) -> Result<(usize, f64)> {
-        let plans = self.bank_plans::<S>(metric)?;
-        let refs: Vec<&CompiledMcam<S>> = plans.iter().map(Arc::as_ref).collect();
-        exec::banked_winner(&refs, self.rows_per_bank, query, self.search_threads())
-    }
-
-    fn search_batch_impl<S: PlaneScalar>(
-        &self,
-        queries: &[&[u8]],
-        metric: Metric,
-    ) -> Result<Vec<(usize, f64)>> {
-        let plans = self.bank_plans::<S>(metric)?;
-        let refs: Vec<&CompiledMcam<S>> = plans.iter().map(Arc::as_ref).collect();
-        exec::banked_winner_batch(&refs, self.rows_per_bank, queries, par::max_threads())
-    }
-
-    /// The per-bank cached codes-mode engines ([`Precision::Codes`]):
-    /// packed-code plans on shared-LUT banks, transparent `f32` plane
-    /// fallbacks otherwise, each invalidated only when its own bank
-    /// mutates. Codes plans compile eagerly — no cold-cache
-    /// amortization gate, because compiling one costs about one scalar
-    /// query over the bank ([`exec::CODES_COMPILE_THRESHOLD`]).
-    fn codes_bank_plans(&self, metric: Metric) -> Result<Vec<CodesDispatch>> {
-        if self.is_empty() {
-            return Err(CoreError::EmptyArray);
-        }
-        self.banks
-            .iter()
-            .map(|b| b.compiled_codes_metric(metric))
-            .collect()
-    }
-
-    fn search_codes(&self, query: &[u8], metric: Metric) -> Result<(usize, f64)> {
-        let plans = self.codes_bank_plans(metric)?;
-        let refs: Vec<&CodesDispatch> = plans.iter().collect();
-        let bases = exec::bank_bases(refs.len(), self.rows_per_bank);
-        // Work is summed per bank by what each dispatch actually
-        // executes (codes discount for packed banks, full plane cost
-        // for variation fallbacks).
-        let threads = par::threads_for(exec::banked_work_per_query(&refs));
-        exec::banked_winner_kernel(&refs, &bases, query, threads)
-    }
-
-    fn search_batch_codes(&self, queries: &[&[u8]], metric: Metric) -> Result<Vec<(usize, f64)>> {
-        let plans = self.codes_bank_plans(metric)?;
-        let refs: Vec<&CodesDispatch> = plans.iter().collect();
-        let bases = exec::bank_bases(refs.len(), self.rows_per_bank);
-        exec::banked_winner_batch_kernel(&refs, &bases, queries, par::max_threads())
-    }
-
-    /// Searches every bank — through the cached per-bank compiled
-    /// plans, sharded across worker threads when the array is large
-    /// enough to justify forking — and merges the per-bank winners in
-    /// ascending bank order; returns `(global_row, total_conductance)`
-    /// of the overall nearest row.
-    ///
-    /// The merge is a fixed-order fold, so the result (including
-    /// lowest-index tie-breaks) is bit-identical to a sequential
-    /// bank-by-bank scalar sweep regardless of thread count.
-    ///
-    /// # Errors
-    ///
-    /// * [`CoreError::EmptyArray`] if nothing is stored.
-    /// * Propagates per-bank search failures.
-    pub fn search(&self, query: &[u8]) -> Result<(usize, f64)> {
-        self.search_f64_metric(query, Metric::default())
-    }
-
-    fn search_f64_metric(&self, query: &[u8], metric: Metric) -> Result<(usize, f64)> {
-        match self.f64_bank_plans_for(1, metric)? {
-            Some(plans) => {
-                let refs: Vec<&CompiledMcam<f64>> = plans.iter().map(Arc::as_ref).collect();
-                exec::banked_winner(&refs, self.rows_per_bank, query, self.search_threads())
-            }
-            None => self.search_scalar(query, metric),
-        }
-    }
-
-    /// [`search`](Self::search) at a chosen [`Precision`]
-    /// ([`Precision::F32`] is the opt-in fast mode; see
-    /// [`crate::exec`]'s "Precision modes").
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search`](Self::search).
-    pub fn search_with(&self, query: &[u8], precision: Precision) -> Result<(usize, f64)> {
-        self.search_with_metric(query, precision, Metric::default())
-    }
-
-    /// [`search_with`](Self::search_with) at a chosen [`Metric`] (see
-    /// [`crate::exec`]'s "Metric modes") — per-bank winners still merge
-    /// in ascending bank order, so lowest-global-row tie-breaks hold
-    /// under every metric.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search`](Self::search).
-    pub fn search_with_metric(
-        &self,
-        query: &[u8],
-        precision: Precision,
-        metric: Metric,
-    ) -> Result<(usize, f64)> {
-        match precision {
-            Precision::F64 => self.search_f64_metric(query, metric),
-            Precision::F32 => self.search_impl::<f32>(query, metric),
-            Precision::Codes => self.search_codes(query, metric),
-        }
-    }
-
-    /// Searches a batch of queries and returns each query's merged
-    /// `(global_row, total_conductance)` winner, in query order.
-    ///
-    /// Contiguous query groups shard across worker threads; each worker
-    /// sweeps every bank's cached compiled plan for its queries with
-    /// one reusable scratch, so a whole batch costs a single fork–join
-    /// no matter how many banks the memory spans. Bit-identical to a
-    /// per-query [`search`](Self::search) sweep at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// * [`CoreError::EmptyArray`] if nothing is stored — even for an
-    ///   empty batch, matching [`search`](Self::search) (see the
-    ///   empty-batch contract on [`McamArray::search_batch`]).
-    /// * The first failing query (in query order) fails the batch.
-    pub fn search_batch(&self, queries: &[&[u8]]) -> Result<Vec<(usize, f64)>> {
-        self.search_batch_f64_metric(queries, Metric::default())
-    }
-
-    fn search_batch_f64_metric(
-        &self,
-        queries: &[&[u8]],
-        metric: Metric,
-    ) -> Result<Vec<(usize, f64)>> {
-        if self.is_empty() {
-            return Err(CoreError::EmptyArray);
-        }
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        match self.f64_bank_plans_for(queries.len(), metric)? {
-            Some(plans) => {
-                let refs: Vec<&CompiledMcam<f64>> = plans.iter().map(Arc::as_ref).collect();
-                exec::banked_winner_batch(&refs, self.rows_per_bank, queries, par::max_threads())
-            }
-            None => queries
-                .iter()
-                .map(|q| self.search_f64_metric(q, metric))
-                .collect(),
-        }
-    }
-
-    /// [`search_batch`](Self::search_batch) at a chosen [`Precision`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search_batch`](Self::search_batch).
-    pub fn search_batch_with(
-        &self,
-        queries: &[&[u8]],
-        precision: Precision,
-    ) -> Result<Vec<(usize, f64)>> {
-        self.search_batch_with_metric(queries, precision, Metric::default())
-    }
-
-    /// [`search_batch_with`](Self::search_batch_with) at a chosen
-    /// [`Metric`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search_batch`](Self::search_batch).
-    pub fn search_batch_with_metric(
-        &self,
-        queries: &[&[u8]],
-        precision: Precision,
-        metric: Metric,
-    ) -> Result<Vec<(usize, f64)>> {
-        if self.is_empty() {
-            return Err(CoreError::EmptyArray);
-        }
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        match precision {
-            Precision::F64 => self.search_batch_f64_metric(queries, metric),
-            Precision::F32 => self.search_batch_impl::<f32>(queries, metric),
-            Precision::Codes => self.search_batch_codes(queries, metric),
-        }
-    }
-
-    /// Each query's merged `(global_row, total_conductance)` winner at
-    /// a chosen [`Precision`] — the **default serving path**: winners
-    /// fold on the workers' reusable scratch, no per-query row vector
-    /// is ever materialized, and results are bit-identical to calling
-    /// [`search_with`](Self::search_with) per query at any thread
-    /// count.
-    ///
-    /// On a banked memory the batch path already reduces to winners
-    /// (the hierarchical winner-take-all merge), so this is the same
-    /// kernel as [`search_batch_with`](Self::search_batch_with) under
-    /// a name that pins the serving contract.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search_batch`](Self::search_batch).
-    pub fn search_batch_winners_with(
-        &self,
-        queries: &[&[u8]],
-        precision: Precision,
-    ) -> Result<Vec<(usize, f64)>> {
-        self.search_batch_with(queries, precision)
-    }
-
-    /// [`search_batch_winners_with`](Self::search_batch_winners_with)
-    /// at a chosen [`Metric`] — the per-request-metric serving path.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search_batch`](Self::search_batch).
-    pub fn search_batch_winners_with_metric(
-        &self,
-        queries: &[&[u8]],
-        precision: Precision,
-        metric: Metric,
-    ) -> Result<Vec<(usize, f64)>> {
-        self.search_batch_with_metric(queries, precision, metric)
-    }
-
-    /// The `k` nearest rows for one query as
-    /// `(global_row, total_conductance)` pairs, nearest first:
-    /// per-bank bounded-heap top-k through each bank's cached plan at
-    /// `precision`, merged by ascending `(conductance, global_row)` —
-    /// so exact ties resolve to the lowest global row, identically to
-    /// the flat [`McamArray::search_batch_top_k_with`] ordering.
-    ///
-    /// `k` is clamped, never an error: `0` returns an empty vector,
-    /// `k > n_rows()` returns every row (the
-    /// [`crate::engines::NnIndex::query_k`] contract).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search`](Self::search).
-    pub fn search_top_k_with(
-        &self,
-        query: &[u8],
-        k: usize,
-        precision: Precision,
-    ) -> Result<Vec<(usize, f64)>> {
-        self.search_top_k_with_metric(query, k, precision, Metric::default())
-    }
-
-    /// [`search_top_k_with`](Self::search_top_k_with) at a chosen
-    /// [`Metric`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search`](Self::search).
-    pub fn search_top_k_with_metric(
-        &self,
-        query: &[u8],
-        k: usize,
-        precision: Precision,
-        metric: Metric,
-    ) -> Result<Vec<(usize, f64)>> {
-        if self.is_empty() {
-            return Err(CoreError::EmptyArray);
-        }
-        let mut hits = self.search_batch_top_k_with_metric(&[query], k, precision, metric)?;
-        // femcam::allow(no_panic): the batch call returns exactly one entry
-        // per query.
-        Ok(hits.pop().expect("one query in, one out"))
-    }
-
-    /// Each query's `k` nearest rows as `(global_row, total_conductance)`
-    /// pairs (nearest first) — the batched face of
-    /// [`search_top_k_with`](Self::search_top_k_with), and what lets a
-    /// serving front end coalesce k-NN traffic into micro-batches
-    /// instead of running each top-k solo. Every bank executes one
-    /// batched bounded-heap sweep over its cached plan (the same
-    /// `BlockKernel` drivers as the flat
-    /// [`McamArray::search_batch_top_k_with`]); per-bank candidates
-    /// merge by ascending `(conductance, global_row)`, so results are
-    /// bit-identical, per query, to a solo
-    /// [`search_top_k_with`](Self::search_top_k_with) call.
-    ///
-    /// `k` is clamped, never an error (the
-    /// [`crate::engines::NnIndex::query_k`] contract).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search_batch`](Self::search_batch).
-    pub fn search_batch_top_k_with(
-        &self,
-        queries: &[&[u8]],
-        k: usize,
-        precision: Precision,
-    ) -> Result<Vec<Vec<(usize, f64)>>> {
-        self.search_batch_top_k_with_metric(queries, k, precision, Metric::default())
-    }
-
-    /// [`search_batch_top_k_with`](Self::search_batch_top_k_with) at a
-    /// chosen [`Metric`] — bounded-heap semantics carry over unchanged
-    /// because every metric's scores obey "smaller = nearer".
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search_batch`](Self::search_batch).
-    pub fn search_batch_top_k_with_metric(
-        &self,
-        queries: &[&[u8]],
-        k: usize,
-        precision: Precision,
-        metric: Metric,
-    ) -> Result<Vec<Vec<(usize, f64)>>> {
-        if self.is_empty() {
-            return Err(CoreError::EmptyArray);
-        }
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        // The full sweep is the all-banks instantiation of the masked
-        // path — one implementation, bit-identity by construction.
-        let all: Vec<usize> = (0..self.banks.len()).collect();
-        self.search_batch_top_k_masked_metric(queries, k, precision, metric, &all)
+    /// Every bank, as a mask (the full sweep's).
+    fn all_banks(&self) -> Vec<usize> {
+        (0..self.banks.len()).collect()
     }
 
     /// Validates a bank mask: strictly ascending, in-range bank
@@ -675,55 +304,152 @@ impl BankedMcam {
         Ok(())
     }
 
-    /// Global base rows of the masked banks (mask already validated).
-    fn masked_bases(&self, banks: &[usize]) -> Vec<usize> {
-        banks.iter().map(|&b| b * self.rows_per_bank).collect()
+    /// The masked banks' cached `f64` plans when every one is warm, or
+    /// when `batch` queries amortize compiling the cold ones; `None`
+    /// means the bit-identical scalar sweep should serve this call
+    /// (cold cache, workload too small to pay for `n_levels` plane
+    /// fills per bank). Each bank compiles lazily and recompiles only
+    /// when *that* bank has mutated since (storing a row dirties one
+    /// bank, not the whole memory).
+    fn f64_plans_for(
+        &self,
+        banks: &[usize],
+        batch: usize,
+        metric: Metric,
+    ) -> Result<Option<Vec<Arc<CompiledMcam<f64>>>>> {
+        let warm: Option<Vec<_>> = banks
+            .iter()
+            .map(|&b| self.banks[b].warm_f64_plan(metric))
+            .collect();
+        if warm.is_some() {
+            return Ok(warm);
+        }
+        if batch < self.ladder.n_levels() {
+            return Ok(None);
+        }
+        self.bank_plans(banks, |bank| bank.plane_plan::<f64>(metric))
+            .map(Some)
     }
 
-    fn masked_plane_winners<S: PlaneScalar>(
+    /// One cached plan per masked bank, from `plan`.
+    fn bank_plans<K>(
+        &self,
+        banks: &[usize],
+        plan: impl Fn(&McamArray) -> Result<K>,
+    ) -> Result<Vec<K>> {
+        banks.iter().map(|&b| plan(&self.banks[b])).collect()
+    }
+
+    /// The scalar reference sweep over the masked banks: per query,
+    /// each bank's physics-path search (banks sharded across workers),
+    /// winners merged in ascending bank order with a strict `<`, so
+    /// exact ties keep the lowest global row.
+    fn scalar_winners(
         &self,
         queries: &[&[u8]],
         banks: &[usize],
         metric: Metric,
-        n_threads: usize,
     ) -> Result<Vec<(usize, f64)>> {
-        let plans: Vec<Arc<CompiledMcam<S>>> = banks
+        let threads = par::threads_for(self.n_rows() * self.word_len);
+        queries
             .iter()
-            .map(|&b| self.banks[b].cached_plan_metric::<S>(metric))
-            .collect::<Result<_>>()?;
-        let refs: Vec<&CompiledMcam<S>> = plans.iter().map(Arc::as_ref).collect();
-        let bases = self.masked_bases(banks);
-        exec::banked_winner_batch_kernel(&refs, &bases, queries, n_threads)
+            .map(|query| {
+                let per_bank = par::try_par_map(banks, threads, |_, &b| {
+                    self.banks[b].search_metric(query, metric)
+                })?;
+                let mut best: Option<(usize, f64)> = None;
+                for (&b, outcome) in banks.iter().zip(&per_bank) {
+                    let local = outcome.best_row();
+                    let g = outcome.conductance(local);
+                    if best.is_none_or(|(_, bg)| g < bg) {
+                        best = Some((b * self.rows_per_bank + local, g));
+                    }
+                }
+                // femcam::allow(no_panic): the mask was validated
+                // nonempty, so the loop saw at least one bank.
+                Ok(best.expect("nonempty bank mask"))
+            })
+            .collect()
     }
 
-    fn masked_codes_winners(
+    /// The fixed-order winner merge over the masked banks' kernels
+    /// (`plans[i]` serves `banks[i]`).
+    fn merge_winners<K: BlockKernel>(
         &self,
         queries: &[&[u8]],
         banks: &[usize],
-        metric: Metric,
+        plans: &[K],
         n_threads: usize,
     ) -> Result<Vec<(usize, f64)>> {
-        let plans: Vec<CodesDispatch> = banks
-            .iter()
-            .map(|&b| self.banks[b].compiled_codes_metric(metric))
-            .collect::<Result<_>>()?;
-        let refs: Vec<&CodesDispatch> = plans.iter().collect();
-        let bases = self.masked_bases(banks);
-        exec::banked_winner_batch_kernel(&refs, &bases, queries, n_threads)
+        let bases: Vec<usize> = banks.iter().map(|&b| b * self.rows_per_bank).collect();
+        exec::banked_winner_batch_kernel(plans, &bases, queries, n_threads)
     }
 
-    /// Each query's merged `(global_row, total_conductance)` winner over
-    /// **only the masked banks** — the second (exact re-rank) stage of
-    /// two-stage retrieval (see [`crate::router`]). `banks` lists the
-    /// bank subset to sweep, strictly ascending.
+    /// Each query's merged `(global_row, score)` winner over every bank
+    /// — the **default serving path** and the hierarchical
+    /// winner-take-all: per-bank winners fold on the workers' reusable
+    /// scratch in ascending bank order, so no per-query row vector is
+    /// ever materialized and the result (including lowest-global-row
+    /// tie-breaks) is bit-identical to a sequential bank-by-bank scalar
+    /// sweep at any thread count, under every metric. Contiguous query
+    /// groups shard across worker threads, so a whole batch costs a
+    /// single fork–join no matter how many banks the memory spans.
+    ///
+    /// This is [`search_batch_winners_masked`](Self::search_batch_winners_masked)
+    /// with the all-banks mask. Plans come from each bank's cache, under
+    /// the same cold-cache `f64` scalar fallback as
+    /// [`McamArray::search_batch_with`].
+    ///
+    /// # Errors
+    ///
+    /// * [`CoreError::EmptyArray`] if nothing is stored — even for an
+    ///   empty batch (the empty-batch contract on
+    ///   [`McamArray::search_batch_with`]).
+    /// * The first failing query (in query order) fails the batch.
+    pub fn search_batch_winners_with(
+        &self,
+        queries: &[&[u8]],
+        spec: impl Into<SearchSpec>,
+    ) -> Result<Vec<(usize, f64)>> {
+        self.search_batch_winners_masked(queries, spec, &self.all_banks())
+    }
+
+    /// Each query's `k` nearest rows as `(global_row, score)` pairs
+    /// (nearest first) — what lets a serving front end coalesce k-NN
+    /// traffic into micro-batches. Every bank executes one batched
+    /// bounded-heap sweep over its cached plan (the same kernels as the
+    /// flat [`McamArray::search_batch_top_k_with`]); per-bank
+    /// candidates merge by ascending `(score, global_row)`, so exact
+    /// ties resolve to the lowest global row.
+    ///
+    /// This is [`search_batch_top_k_masked`](Self::search_batch_top_k_masked)
+    /// with the all-banks mask. `k` is clamped, never an error: `0`
+    /// returns empty vectors, `k > n_rows()` returns every row (the
+    /// [`crate::engines::NnIndex::query_k`] contract).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as
+    /// [`search_batch_winners_with`](Self::search_batch_winners_with).
+    pub fn search_batch_top_k_with(
+        &self,
+        queries: &[&[u8]],
+        k: usize,
+        spec: impl Into<SearchSpec>,
+    ) -> Result<Vec<Vec<(usize, f64)>>> {
+        self.search_batch_top_k_masked(queries, k, spec, &self.all_banks())
+    }
+
+    /// Each query's merged `(global_row, score)` winner over **only the
+    /// masked banks** — the second (exact re-rank) stage of two-stage
+    /// retrieval (see [`crate::router`]). `banks` lists the bank subset
+    /// to sweep, strictly ascending.
     ///
     /// Per query, the winner is exactly what a sequential scan of the
-    /// masked banks would report: conductances are bit-identical to the
-    /// full sweep (a bank's fold never sees the mask) and exact ties
-    /// resolve to the lowest global row within the mask. A mask
-    /// covering every bank is bit-identical to
-    /// [`search_batch_winners_with`](Self::search_batch_winners_with)
-    /// — the [bank-mask contract](crate::exec#bank-mask-contract).
+    /// masked banks would report: scores are bit-identical to the full
+    /// sweep (a bank's fold never sees the mask) and exact ties
+    /// resolve to the lowest global row within the mask — the
+    /// [bank-mask contract](crate::exec#bank-mask-contract).
     ///
     /// # Errors
     ///
@@ -734,47 +460,22 @@ impl BankedMcam {
     pub fn search_batch_winners_masked(
         &self,
         queries: &[&[u8]],
-        precision: Precision,
+        spec: impl Into<SearchSpec>,
         banks: &[usize],
     ) -> Result<Vec<(usize, f64)>> {
-        self.search_batch_winners_masked_metric(queries, precision, Metric::default(), banks)
-    }
-
-    /// [`search_batch_winners_masked`](Self::search_batch_winners_masked)
-    /// at a chosen [`Metric`] — what lets the routed re-rank honor a
-    /// per-request metric while the router itself stays metric-agnostic.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`search_batch_winners_masked`](Self::search_batch_winners_masked).
-    pub fn search_batch_winners_masked_metric(
-        &self,
-        queries: &[&[u8]],
-        precision: Precision,
-        metric: Metric,
-        banks: &[usize],
-    ) -> Result<Vec<(usize, f64)>> {
-        self.search_batch_winners_masked_threads(
-            queries,
-            precision,
-            metric,
-            banks,
-            par::max_threads(),
-        )
+        self.winners_masked(queries, spec.into(), banks, par::max_threads())
     }
 
     /// [`search_batch_winners_masked`](Self::search_batch_winners_masked)
     /// with an explicit worker-thread budget, for callers that already
     /// parallelize *across* masked sweeps (the routed batch path runs
-    /// one sweep per distinct mask concurrently and hands each sweep a
+    /// one sweep per touched bank concurrently and hands each sweep a
     /// share of the machine). Results are bit-identical at any budget;
     /// only timing changes.
-    pub(crate) fn search_batch_winners_masked_threads(
+    pub(crate) fn winners_masked(
         &self,
         queries: &[&[u8]],
-        precision: Precision,
-        metric: Metric,
+        spec: SearchSpec,
         banks: &[usize],
         n_threads: usize,
     ) -> Result<Vec<(usize, f64)>> {
@@ -785,51 +486,21 @@ impl BankedMcam {
         if queries.is_empty() {
             return Ok(Vec::new());
         }
-        match precision {
-            Precision::F64 => self.masked_plane_winners::<f64>(queries, banks, metric, n_threads),
-            Precision::F32 => self.masked_plane_winners::<f32>(queries, banks, metric, n_threads),
-            Precision::Codes => self.masked_codes_winners(queries, banks, metric, n_threads),
+        let metric = spec.metric;
+        match spec.precision {
+            Precision::F64 => match self.f64_plans_for(banks, queries.len(), metric)? {
+                Some(plans) => self.merge_winners(queries, banks, &plans, n_threads),
+                None => self.scalar_winners(queries, banks, metric),
+            },
+            Precision::F32 => {
+                let plans = self.bank_plans(banks, |bank| bank.plane_plan::<f32>(metric))?;
+                self.merge_winners(queries, banks, &plans, n_threads)
+            }
+            Precision::Codes => {
+                let plans = self.bank_plans(banks, |bank| bank.codes_plan(metric))?;
+                self.merge_winners(queries, banks, &plans, n_threads)
+            }
         }
-    }
-
-    /// Single-query face of
-    /// [`search_batch_winners_masked`](Self::search_batch_winners_masked).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`search_batch_winners_masked`](Self::search_batch_winners_masked).
-    pub fn search_masked_with(
-        &self,
-        query: &[u8],
-        precision: Precision,
-        banks: &[usize],
-    ) -> Result<(usize, f64)> {
-        let mut winners = self.search_batch_winners_masked(&[query], precision, banks)?;
-        // femcam::allow(no_panic): the batch call returns exactly one entry
-        // per query.
-        Ok(winners.pop().expect("one query in, one out"))
-    }
-
-    /// [`search_masked_with`](Self::search_masked_with) at a chosen
-    /// [`Metric`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`search_batch_winners_masked`](Self::search_batch_winners_masked).
-    pub fn search_masked_with_metric(
-        &self,
-        query: &[u8],
-        precision: Precision,
-        metric: Metric,
-        banks: &[usize],
-    ) -> Result<(usize, f64)> {
-        let mut winners =
-            self.search_batch_winners_masked_metric(&[query], precision, metric, banks)?;
-        // femcam::allow(no_panic): the batch call returns exactly one entry
-        // per query.
-        Ok(winners.pop().expect("one query in, one out"))
     }
 
     /// Each query's `k` nearest rows over **only the masked banks** —
@@ -837,8 +508,8 @@ impl BankedMcam {
     /// [`search_batch_winners_masked`](Self::search_batch_winners_masked),
     /// with the same merge ordering as
     /// [`search_batch_top_k_with`](Self::search_batch_top_k_with):
-    /// ascending `(conductance, global_row)`, `k` clamped to the rows
-    /// the mask exposes (never an error).
+    /// ascending `(score, global_row)`, `k` clamped to the rows the mask
+    /// exposes (never an error).
     ///
     /// # Errors
     ///
@@ -848,25 +519,7 @@ impl BankedMcam {
         &self,
         queries: &[&[u8]],
         k: usize,
-        precision: Precision,
-        banks: &[usize],
-    ) -> Result<Vec<Vec<(usize, f64)>>> {
-        self.search_batch_top_k_masked_metric(queries, k, precision, Metric::default(), banks)
-    }
-
-    /// [`search_batch_top_k_masked`](Self::search_batch_top_k_masked)
-    /// at a chosen [`Metric`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`search_batch_winners_masked`](Self::search_batch_winners_masked).
-    pub fn search_batch_top_k_masked_metric(
-        &self,
-        queries: &[&[u8]],
-        k: usize,
-        precision: Precision,
-        metric: Metric,
+        spec: impl Into<SearchSpec>,
         banks: &[usize],
     ) -> Result<Vec<Vec<(usize, f64)>>> {
         if self.is_empty() {
@@ -884,11 +537,11 @@ impl BankedMcam {
         if k == 0 {
             return Ok(vec![Vec::new(); queries.len()]);
         }
+        let spec = spec.into();
         let mut merged: Vec<Vec<(usize, f64)>> = vec![Vec::new(); queries.len()];
         for &bank_idx in banks {
             let base = bank_idx * self.rows_per_bank;
-            let per_bank = self.banks[bank_idx]
-                .search_batch_top_k_with_metric(queries, k, precision, metric)?;
+            let per_bank = self.banks[bank_idx].search_batch_top_k_with(queries, k, spec)?;
             for (slot, hits) in merged.iter_mut().zip(per_bank) {
                 slot.extend(hits.into_iter().map(|(local, g)| (base + local, g)));
             }
@@ -898,40 +551,6 @@ impl BankedMcam {
             slot.truncate(k);
         }
         Ok(merged)
-    }
-
-    /// Compiles every bank into a reusable multi-bank query plan (see
-    /// [`crate::exec`]); an explicit snapshot for callers that want to
-    /// pin the contents — the cached entry points above are usually
-    /// preferable.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::EmptyArray`] if nothing is stored.
-    pub fn compile(&self) -> Result<CompiledBanked> {
-        CompiledBanked::compile(&self.banks, self.rows_per_bank)
-    }
-
-    /// Like [`compile`](Self::compile) at `f32` precision (the opt-in
-    /// fast mode; see [`crate::exec`]'s "Precision modes").
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::EmptyArray`] if nothing is stored.
-    pub fn compile_f32(&self) -> Result<CompiledBanked<f32>> {
-        CompiledBanked::<f32>::compile(&self.banks, self.rows_per_bank)
-    }
-
-    /// Like [`compile`](Self::compile) in the packed-code mode
-    /// ([`Precision::Codes`]; see [`crate::exec`]'s "Codes mode") —
-    /// bit-identical to [`compile_f32`](Self::compile_f32) results on
-    /// shared-LUT banks at a fraction of the resident bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::EmptyArray`] if nothing is stored.
-    pub fn compile_codes(&self) -> Result<CompiledBankedCodes> {
-        CompiledBankedCodes::compile(&self.banks, self.rows_per_bank)
     }
 
     /// Resident bytes of every bank's cached compiled plans, summed per
@@ -946,36 +565,30 @@ impl BankedMcam {
         total
     }
 
-    /// Worker threads justified by the current total search workload.
-    fn search_threads(&self) -> usize {
-        par::threads_for(self.n_rows() * self.word_len)
-    }
-
-    /// Full per-bank outcomes (for energy accounting or inspection),
-    /// banks sharded across worker threads like [`search`](Self::search).
+    /// Full per-bank outcomes at the default metric (for energy
+    /// accounting or inspection), banks sharded across worker threads.
     ///
     /// Runs through the cached per-bank compiled `f64` plans under the
-    /// same amortization gate as [`search`](Self::search) (warm plans
-    /// always, cold ones only once a compile pays for itself), falling
-    /// back to the scalar physics path otherwise. Compiled `f64`
-    /// conductances are bit-identical to the scalar sweep (see
-    /// [`crate::exec`]'s "Determinism guarantee"), so the outcomes are
-    /// the same either way.
+    /// same amortization gate as the winners path (warm plans always,
+    /// cold ones only once a compile pays for itself), falling back to
+    /// the scalar physics path otherwise. Compiled `f64` conductances
+    /// are bit-identical to the scalar sweep (see [`crate::exec`]'s
+    /// "Determinism guarantee"), so the outcomes are the same either
+    /// way.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`search`](Self::search).
+    /// * [`CoreError::EmptyArray`] if nothing is stored.
+    /// * [`CoreError::WordLengthMismatch`] /
+    ///   [`CoreError::LevelOutOfRange`] for a malformed query.
     pub fn search_all_banks(&self, query: &[u8]) -> Result<Vec<SearchOutcome>> {
         if self.is_empty() {
             return Err(CoreError::EmptyArray);
         }
-        match self.f64_bank_plans_for(1, Metric::default())? {
-            Some(plans) => {
-                par::try_par_map(&plans, self.search_threads(), |_, plan| plan.search(query))
-            }
-            None => par::try_par_map(&self.banks, self.search_threads(), |_, bank| {
-                bank.search(query)
-            }),
+        let threads = par::threads_for(self.n_rows() * self.word_len);
+        match self.f64_plans_for(&self.all_banks(), 1, Metric::default())? {
+            Some(plans) => par::try_par_map(&plans, threads, |_, plan| plan.search(query)),
+            None => par::try_par_map(&self.banks, threads, |_, bank| bank.search(query)),
         }
     }
 
@@ -1007,6 +620,11 @@ mod tests {
         let ladder = LevelLadder::new(3).unwrap();
         let lut = ConductanceLut::from_device(&FefetModel::default(), &ladder);
         BankedMcam::new(ladder, lut, 8, rows_per_bank)
+    }
+
+    /// One query's full-sweep winner (a batch of one).
+    fn winner(b: &BankedMcam, query: &[u8], precision: Precision) -> Result<(usize, f64)> {
+        Ok(b.search_batch_winners_with(&[query], precision)?[0])
     }
 
     #[test]
@@ -1043,7 +661,7 @@ mod tests {
         }
         for _ in 0..30 {
             let query: Vec<u8> = (0..16).map(|_| rng.gen_range(0..8)).collect();
-            let (banked_row, banked_g) = banked.search(&query).unwrap();
+            let (banked_row, banked_g) = winner(&banked, &query, Precision::F64).unwrap();
             let outcome = flat.search(&query).unwrap();
             assert_eq!(banked_row, outcome.best_row());
             assert!((banked_g - outcome.conductance(outcome.best_row())).abs() < 1e-18);
@@ -1065,13 +683,18 @@ mod tests {
             .map(|_| (0..8).map(|_| rng.gen_range(0..8)).collect())
             .collect();
         let refs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
-        let batched = banked.search_batch(&refs).unwrap();
+        let batched = banked
+            .search_batch_winners_with(&refs, Precision::F64)
+            .unwrap();
         for (q, &(row, g)) in refs.iter().zip(&batched) {
-            let (row1, g1) = banked.search(q).unwrap();
+            let (row1, g1) = winner(&banked, q, Precision::F64).unwrap();
             assert_eq!(row, row1);
             assert_eq!(g, g1, "batched conductance must be bit-identical");
         }
-        assert!(banked.search_batch(&[]).unwrap().is_empty());
+        assert!(banked
+            .search_batch_winners_with(&[], Precision::F64)
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
@@ -1089,29 +712,16 @@ mod tests {
         let query: Vec<u8> = (0..6).map(|_| rng.gen_range(0..8)).collect();
         for precision in [Precision::F64, Precision::F32, Precision::Codes] {
             for k in [0usize, 1, 5, 17, 100] {
-                let banked_k = banked.search_top_k_with(&query, k, precision).unwrap();
+                let banked_k = banked
+                    .search_batch_top_k_with(&[&query], k, precision)
+                    .unwrap()
+                    .remove(0);
                 let flat_k = flat
                     .search_batch_top_k_with(&[&query], k, precision)
                     .unwrap()
                     .remove(0);
                 assert_eq!(banked_k, flat_k, "k={k} {precision:?}");
             }
-        }
-    }
-
-    #[test]
-    fn compiled_banked_plan_is_reusable() {
-        let ladder = LevelLadder::new(2).unwrap();
-        let lut = ConductanceLut::from_device(&FefetModel::default(), &ladder);
-        let mut banked = BankedMcam::new(ladder, lut, 4, 2);
-        for i in 0..5u8 {
-            banked.store(&[i % 4; 4]).unwrap();
-        }
-        let plan = banked.compile().unwrap();
-        assert_eq!(plan.n_banks(), 3);
-        assert_eq!(plan.n_rows(), 5);
-        for q in [[0u8, 0, 0, 0], [3, 3, 3, 3], [1, 2, 1, 2]] {
-            assert_eq!(plan.search(&q, 2).unwrap(), banked.search(&q).unwrap());
         }
     }
 
@@ -1129,43 +739,50 @@ mod tests {
             .map(|_| (0..8).map(|_| rng.gen_range(0..8)).collect())
             .collect();
         let refs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
-        // Cached front door: codes batch == f32 batch, bit-identical.
-        let codes = banked.search_batch_with(&refs, Precision::Codes).unwrap();
-        let f32s = banked.search_batch_with(&refs, Precision::F32).unwrap();
+        // Batched winners: codes == f32, bit-identical.
+        let codes = banked
+            .search_batch_winners_with(&refs, Precision::Codes)
+            .unwrap();
+        let f32s = banked
+            .search_batch_winners_with(&refs, Precision::F32)
+            .unwrap();
         assert_eq!(codes, f32s);
-        // Single-query front door agrees too.
+        // A batch of one agrees too.
         for q in &refs {
             assert_eq!(
-                banked.search_with(q, Precision::Codes).unwrap(),
-                banked.search_with(q, Precision::F32).unwrap(),
+                winner(&banked, q, Precision::Codes).unwrap(),
+                winner(&banked, q, Precision::F32).unwrap(),
             );
         }
-        // Explicit snapshot plan: same winners, small resident bytes.
-        let plan = banked.compile_codes().unwrap();
-        assert_eq!(plan.n_banks(), banked.n_banks());
-        assert_eq!(plan.n_rows(), banked.n_rows());
-        assert_eq!(plan.precision(), Precision::Codes);
-        assert_eq!(plan.search_batch(&refs, 2).unwrap(), codes);
-        assert_eq!(plan.search(refs[0], 2).unwrap(), codes[0]);
-        let f64_plan = banked.compile().unwrap();
-        assert!(f64_plan.plan_bytes() >= 16 * plan.plan_bytes());
         // Cached per-bank plan memory introspection sums across banks
         // (codes + f32 slots are warm after the searches above).
         let mem = banked.plan_memory_bytes();
         assert!(mem.codes > 0 && mem.f32_plane > 0);
         assert_eq!(mem.f64_plane, 0);
         assert_eq!(mem.total(), mem.codes + mem.f32_plane);
+        // Codes plans stay small next to the f64 planes.
+        banked
+            .search_batch_winners_with(&refs, Precision::F64)
+            .unwrap();
+        let mem = banked.plan_memory_bytes();
+        assert!(mem.f64_plane >= 16 * mem.codes);
     }
 
     #[test]
     fn empty_banked_memory_refuses_search() {
         let b = setup(4);
-        assert!(matches!(b.search(&[0; 8]), Err(CoreError::EmptyArray)));
-        // The batch entry points share the contract — even for an
-        // empty batch (see McamArray::search_batch's contract docs).
-        assert!(matches!(b.search_batch(&[]), Err(CoreError::EmptyArray)));
         assert!(matches!(
-            b.search_batch_with(&[], Precision::Codes),
+            winner(&b, &[0; 8], Precision::F64),
+            Err(CoreError::EmptyArray)
+        ));
+        // The batch entry points share the contract — even for an
+        // empty batch (see McamArray::search_batch_with's contract docs).
+        assert!(matches!(
+            b.search_batch_winners_with(&[], Precision::F64),
+            Err(CoreError::EmptyArray)
+        ));
+        assert!(matches!(
+            b.search_batch_top_k_with(&[], 1, Precision::Codes),
             Err(CoreError::EmptyArray)
         ));
         assert!(matches!(
@@ -1224,7 +841,10 @@ mod tests {
                 let batched = banked.search_batch_top_k_with(&refs, k, precision).unwrap();
                 assert_eq!(batched.len(), refs.len());
                 for (q, hits) in refs.iter().zip(&batched) {
-                    let solo = banked.search_top_k_with(q, k, precision).unwrap();
+                    let solo = banked
+                        .search_batch_top_k_with(&[q], k, precision)
+                        .unwrap()
+                        .remove(0);
                     assert_eq!(hits, &solo, "k={k} {precision:?}");
                 }
             }
@@ -1266,7 +886,7 @@ mod tests {
             for (row, w) in words.iter().enumerate() {
                 // Duplicates resolve to the first occurrence.
                 let expected = words.iter().position(|x| x == w).unwrap_or(row);
-                assert_eq!(rejoined.search(w).unwrap().0, expected);
+                assert_eq!(winner(&rejoined, w, Precision::F64).unwrap().0, expected);
             }
         }
     }

@@ -18,7 +18,7 @@ use femcam_lsh::RandomHyperplanes;
 use crate::array::{McamArray, McamArrayBuilder, VariationSpec};
 use crate::distance::Distance;
 use crate::error::CoreError;
-use crate::exec::{self, Metric, Precision};
+use crate::exec::{self, Metric, Precision, SearchSpec};
 use crate::levels::LevelLadder;
 use crate::lut::ConductanceLut;
 use crate::par;
@@ -96,7 +96,7 @@ pub trait NnIndex {
     ///
     /// * [`CoreError::EmptyArray`] if the index is empty — even for an
     ///   empty batch, matching [`query`](Self::query) (the same
-    ///   contract as [`crate::McamArray::search_batch`]).
+    ///   contract as [`crate::McamArray::search_batch_with`]).
     /// * Otherwise the first failing query (in query order) fails the
     ///   batch; an empty batch on a nonempty index is `Ok(vec![])`.
     fn query_batch(&self, queries: &[&[f32]]) -> Result<Vec<QueryResult>> {
@@ -307,8 +307,8 @@ pub struct McamNn {
     quantizer: Quantizer,
     array: McamArray,
     labels: Vec<u32>,
-    precision: Precision,
-    metric: Metric,
+    /// The settings every query path searches with.
+    spec: SearchSpec,
 }
 
 impl McamNn {
@@ -329,8 +329,7 @@ impl McamNn {
             quantizer,
             array,
             labels: Vec::new(),
-            precision: Precision::F64,
-            metric: Metric::default(),
+            spec: SearchSpec::default(),
         })
     }
 
@@ -338,7 +337,7 @@ impl McamNn {
     /// [`Precision::F64`], bit-identical to the scalar physics path).
     #[must_use]
     pub fn precision(&self) -> Precision {
-        self.precision
+        self.spec.precision
     }
 
     /// Selects the execution precision for all query paths.
@@ -349,13 +348,13 @@ impl McamNn {
     /// (bit-identical to `F32` on shared-LUT arrays, transparent `f32`
     /// fallback under device variation — see "Codes mode" there).
     pub fn set_precision(&mut self, precision: Precision) {
-        self.precision = precision;
+        self.spec.precision = precision;
     }
 
     /// Builder-style [`set_precision`](Self::set_precision).
     #[must_use]
     pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
+        self.spec.precision = precision;
         self
     }
 
@@ -363,7 +362,7 @@ impl McamNn {
     /// [`Metric::McamConductance`], the paper's analog distance).
     #[must_use]
     pub fn metric(&self) -> Metric {
-        self.metric
+        self.spec.metric
     }
 
     /// Selects the distance semantics for all query paths — a runtime
@@ -375,13 +374,13 @@ impl McamNn {
     /// the next query, which compiles (and caches) the chosen metric's
     /// plan.
     pub fn set_metric(&mut self, metric: Metric) {
-        self.metric = metric;
+        self.spec.metric = metric;
     }
 
     /// Builder-style [`set_metric`](Self::set_metric).
     #[must_use]
     pub fn with_metric(mut self, metric: Metric) -> Self {
-        self.metric = metric;
+        self.spec.metric = metric;
         self
     }
 
@@ -463,8 +462,7 @@ impl McamNn {
             quantizer: self.quantizer,
             array,
             labels: self.labels,
-            precision: self.precision,
-            metric: self.metric,
+            spec: self.spec,
         })
     }
 
@@ -505,29 +503,28 @@ impl NnIndex for McamNn {
 
     fn query(&self, features: &[f32]) -> Result<QueryResult> {
         let levels = self.quantizer.quantize(features)?;
-        let outcome = self
+        let (index, score) = self
             .array
-            .search_with_metric(&levels, self.precision, self.metric)?;
-        let index = outcome.best_row();
+            .search_batch_winners_with(&[&levels], self.spec)?[0];
         Ok(QueryResult {
             index,
             label: self.labels[index],
-            score: outcome.conductance(index),
+            score,
         })
     }
 
     fn query_k(&self, features: &[f32], k: usize) -> Result<Vec<QueryResult>> {
         let levels = self.quantizer.quantize(features)?;
-        let outcome = self
+        let mut hits = self
             .array
-            .search_with_metric(&levels, self.precision, self.metric)?;
-        Ok(outcome
-            .top_k(k)
+            .search_batch_top_k_with(&[&levels], k, self.spec)?;
+        Ok(hits
+            .swap_remove(0)
             .into_iter()
-            .map(|index| QueryResult {
+            .map(|(index, score)| QueryResult {
                 index,
                 label: self.labels[index],
-                score: outcome.conductance(index),
+                score,
             })
             .collect())
     }
@@ -540,9 +537,7 @@ impl NnIndex for McamNn {
         }
         let levels = self.quantize_batch(queries)?;
         let refs: Vec<&[u8]> = levels.iter().map(|l| l.as_slice()).collect();
-        let winners =
-            self.array
-                .search_batch_winners_with_metric(&refs, self.precision, self.metric)?;
+        let winners = self.array.search_batch_winners_with(&refs, self.spec)?;
         Ok(winners
             .into_iter()
             .map(|(index, score)| QueryResult {
@@ -559,9 +554,7 @@ impl NnIndex for McamNn {
         }
         let levels = self.quantize_batch(queries)?;
         let refs: Vec<&[u8]> = levels.iter().map(|l| l.as_slice()).collect();
-        let hits =
-            self.array
-                .search_batch_top_k_with_metric(&refs, k, self.precision, self.metric)?;
+        let hits = self.array.search_batch_top_k_with(&refs, k, self.spec)?;
         Ok(hits
             .into_iter()
             .map(|top| {
@@ -580,8 +573,8 @@ impl NnIndex for McamNn {
         format!(
             "mcam-{}bit{}{}",
             self.array.ladder().bits(),
-            self.precision.name_suffix(),
-            self.metric.name_suffix()
+            self.spec.precision.name_suffix(),
+            self.spec.metric.name_suffix()
         )
     }
 }

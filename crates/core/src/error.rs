@@ -33,11 +33,10 @@ pub enum CoreError {
     EmptyArray,
     /// A packed-code plan was requested for an array whose cells carry
     /// individually realized conductances (device variation), which a
-    /// shared-LUT code plan cannot represent. The cached entry points
-    /// never produce this error — they transparently fall back to the
-    /// `f32` plane plan; only an explicit
-    /// [`CompiledCodes::compile`](crate::exec::CompiledCodes::compile)
-    /// can surface it.
+    /// shared-LUT code plan cannot represent. The search entry points
+    /// never produce this error — the plan cache transparently falls
+    /// back to the `f32` plane plan instead (see
+    /// [`crate::exec`]'s "Codes mode").
     PerCellBank,
     /// A serving front end could not accept or complete the request
     /// (admission control rejected it, or the server is shutting

@@ -92,11 +92,10 @@
 //!
 //! **When fallback triggers:** arrays realized with device variation
 //! ([`crate::array::VariationSpec`]) carry per-cell conductances that
-//! no shared LUT can represent. The cached entry points detect this and
-//! transparently execute the `f32` plane plan instead; the
-//! [`CodesDispatch`] an array hands back tells you which engine served
-//! you. An explicit [`CompiledCodes::compile`] on such an array returns
-//! [`CoreError::PerCellBank`].
+//! no shared LUT can represent. The plan cache detects this and
+//! transparently executes the `f32` plane plan instead; the
+//! [`CodesDispatch`] inside the [`Plan::Codes`] an array hands back
+//! ([`McamArray::plan`]) tells you which engine served you.
 //!
 //! Resident plan memory drops from `n_levels × word_len × n_rows`
 //! scalars to `word_len × n_rows` bytes (plus a negligible LUT) — 64×
@@ -107,10 +106,12 @@
 //! per cell), so even a lone cold-cache query amortizes it
 //! ([`CODES_COMPILE_THRESHOLD`]).
 //!
-//! Callers pick a mode either statically (`CompiledMcam::<f32>`,
-//! [`CompiledCodes`]) or at run time through the [`Precision`] knob on
-//! the cached-plan entry points ([`McamArray::search_batch_with`],
-//! [`crate::engines::McamNn::set_precision`]).
+//! Callers pick a mode per call: every search entry point on
+//! [`McamArray`], [`crate::banked::BankedMcam`] and
+//! [`crate::router::RoutedMcam`] takes `spec: impl Into<`[`SearchSpec`]`>`,
+//! whose `precision` field selects the plan (a bare [`Precision`]
+//! converts, keeping the default metric). Engines carry one spec for
+//! all their queries ([`crate::engines::McamNn::set_precision`]).
 //!
 //! # Metric modes
 //!
@@ -146,9 +147,11 @@
 //! ([`McamArray::search_metric`]) bit-for-bit, codes match `f32`
 //! planes bit-for-bit (`tests/metric_props.rs` pins both).
 //!
-//! The [`PlanCache`] keys its slots by `(precision, metric)`, so mixed
-//! metric traffic against one array caches one plan per combination and
-//! every mutation invalidates them all.
+//! The metric is the other field of a [`SearchSpec`], so one call
+//! names both settings: `SearchSpec { precision, metric }`. The
+//! [`PlanCache`] keys its slots by exactly that pair, so mixed metric
+//! traffic against one array caches one plan per combination and every
+//! mutation invalidates them all.
 //!
 //! # Cached, auto-recompiling plans
 //!
@@ -169,8 +172,8 @@
 //! the row axis, never the column axis). Floating-point addition
 //! happens in an identical sequence, so compiled `f64` results are
 //! **bit-identical** to [`McamArray::search`]. Row-chunked and
-//! query-parallel execution ([`CompiledMcam::search_batch`],
-//! [`CompiledBanked`]) shard only across rows, queries, and banks —
+//! query-parallel execution ([`Plan::search_batch`], the banked winner
+//! merge) shard only across rows, queries, and banks —
 //! never within one row's fold — and every reduction is a fixed-order
 //! fold over results reassembled in input order ([`crate::par`]), so
 //! parallel execution is bit-identical too, at any thread count. The
@@ -181,12 +184,20 @@
 //!
 //! # Bank-mask contract
 //!
-//! The banked drivers ([`banked_winner_kernel`],
-//! [`banked_winner_batch_kernel`]) never assume they are sweeping every
-//! bank: each per-bank kernel arrives paired with the **global base
-//! row** of that bank, and a winner is always reported as
-//! `base + local`. A full sweep is just the instantiation whose bases
-//! are `[0, rows_per_bank, 2·rows_per_bank, ..]`; a routed sweep (see
+//! A banked search takes its bank mask beside the [`SearchSpec`]:
+//! [`BankedMcam::search_batch_winners_masked`] and
+//! [`BankedMcam::search_batch_top_k_masked`] sweep only the listed
+//! banks, and the unmasked [`BankedMcam::search_batch_winners_with`] /
+//! [`BankedMcam::search_batch_top_k_with`] *are* those calls with the
+//! all-banks mask — one implementation per result shape. A mask must be
+//! nonempty, strictly ascending and in range; anything else is
+//! [`CoreError::InvalidParameter`].
+//!
+//! The banked driver never assumes it is sweeping every bank: each
+//! per-bank kernel arrives paired with the **global base row** of that
+//! bank, and a winner is always reported as `base + local`. A full
+//! sweep is just the instantiation whose bases are
+//! `[0, rows_per_bank, 2·rows_per_bank, ..]`; a routed sweep (see
 //! [`crate::router`]) passes the same kernels for a *subset* of banks,
 //! in ascending bank order, with each bank's true base.
 //!
@@ -195,9 +206,8 @@
 //! query, the winner is the row a sequential scan of exactly the masked
 //! banks would report, conductances are bit-identical to the full sweep
 //! (each bank's fold never sees the mask), and exact ties still resolve
-//! to the lowest global row *within the mask*. A mask that covers every
-//! bank is therefore bit-identical to the unmasked entry points — the
-//! property `tests/routing_props.rs` pins across all precisions.
+//! to the lowest global row *within the mask* — the property
+//! `tests/routing_props.rs` pins across all precisions.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -206,6 +216,8 @@ use std::sync::{Arc, PoisonError};
 use crate::sync::{Mutex, MutexGuard};
 
 use crate::array::{McamArray, SearchOutcome};
+#[cfg(doc)]
+use crate::banked::BankedMcam;
 use crate::error::CoreError;
 use crate::par;
 use crate::Result;
@@ -361,6 +373,41 @@ impl Metric {
     }
 }
 
+/// The settings of one search: the [`Precision`] its plan executes at
+/// and the [`Metric`] it scores with. Every search entry point on
+/// [`McamArray`], [`crate::banked::BankedMcam`] and
+/// [`crate::router::RoutedMcam`] takes `spec: impl Into<SearchSpec>`,
+/// so a bare [`Precision`] keeps the default metric.
+///
+/// # Examples
+///
+/// ```
+/// use femcam_core::{Metric, Precision, SearchSpec};
+///
+/// let spec = SearchSpec::from(Precision::Codes);
+/// assert_eq!(spec.metric, Metric::McamConductance);
+/// let l1 = SearchSpec { metric: Metric::L1, ..spec };
+/// assert_eq!(l1.precision, Precision::Codes);
+/// assert_eq!(SearchSpec::default(), SearchSpec::from(Precision::F64));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct SearchSpec {
+    /// The plan element type (see
+    /// ["Precision modes"](self#precision-modes)).
+    pub precision: Precision,
+    /// The distance semantics (see ["Metric modes"](self#metric-modes)).
+    pub metric: Metric,
+}
+
+impl From<Precision> for SearchSpec {
+    fn from(precision: Precision) -> Self {
+        SearchSpec {
+            precision,
+            metric: Metric::default(),
+        }
+    }
+}
+
 /// Cold-cache amortization threshold for [`Precision::Codes`]: the
 /// batch size from which compiling a packed-code plan pays for itself.
 ///
@@ -375,8 +422,8 @@ impl Metric {
 /// This constant *documents* that decision (and is pinned by tests); a
 /// threshold of 1 means "always compile", which the entry points
 /// implement by compiling unconditionally — editing this value alone
-/// changes nothing without also gating
-/// [`McamArray::compiled_codes`](crate::McamArray::compiled_codes).
+/// changes nothing without also gating the codes arm of
+/// [`PlanCache`]'s lookup.
 pub const CODES_COMPILE_THRESHOLD: usize = 1;
 
 mod sealed {
@@ -524,14 +571,29 @@ impl Default for PlanCache {
 }
 
 impl PlanCache {
-    /// Returns the cached plan for `S` at `metric`, compiling and
-    /// caching it from `array` on a miss.
+    /// The plan `spec` executes on, compiling and caching it from
+    /// `array` on a miss. The codes-mode dispatch lives here: packable
+    /// `(array, metric)` pairs get the packed-code plan; the
+    /// conductance metric on per-cell (variation) arrays transparently
+    /// falls back to the cached `f32` plane plan — see the
+    /// [module-level "Codes mode"](self#codes-mode). Synthesized
+    /// (digital) metrics always pack.
     ///
     /// # Errors
     ///
-    /// Propagates [`CompiledMcam::compile_metric`] failures (the slot
-    /// stays empty).
-    pub fn get_or_compile<S: PlaneScalar>(
+    /// Propagates compile failures (the slot stays empty).
+    pub(crate) fn get_or_compile(&self, array: &McamArray, spec: SearchSpec) -> Result<Plan> {
+        let metric = spec.metric;
+        Ok(match spec.precision {
+            Precision::F64 => Plan::F64(self.plane(array, metric)?),
+            Precision::F32 => Plan::F32(self.plane(array, metric)?),
+            Precision::Codes => Plan::Codes(self.codes(array, metric)?),
+        })
+    }
+
+    /// The cached plane plan for `S` at `metric`, compiling it on a
+    /// miss.
+    pub(crate) fn plane<S: PlaneScalar>(
         &self,
         array: &McamArray,
         metric: Metric,
@@ -540,51 +602,31 @@ impl PlanCache {
         if let Some(plan) = slots[metric.index()].as_ref() {
             return Ok(Arc::clone(plan));
         }
-        let plan = Arc::new(CompiledMcam::<S>::compile_metric(array, metric)?);
+        let plan = Arc::new(CompiledMcam::<S>::compile(array, metric)?);
         slots[metric.index()] = Some(Arc::clone(&plan));
         Ok(plan)
     }
 
-    /// The cached plan for `S` at `metric` if one is currently
-    /// compiled, without compiling on a miss (lets callers amortize:
-    /// skip plan construction for workloads too small to pay for it).
-    pub fn cached<S: PlaneScalar>(&self, metric: Metric) -> Option<Arc<CompiledMcam<S>>> {
-        lock(S::plan_slot(self))[metric.index()]
-            .as_ref()
-            .map(Arc::clone)
-    }
-
-    /// The codes-mode execution engine for `array` at `metric`,
-    /// compiling and caching on a miss. This is where the codes-mode
-    /// dispatch lives: packable `(array, metric)` pairs get the
-    /// packed-code plan (cached in the codes slot); the conductance
-    /// metric on per-cell (variation) arrays transparently falls back
-    /// to the cached `f32` plane plan — see the
-    /// [module-level "Codes mode"](self#codes-mode). Synthesized
-    /// (digital) metrics always pack.
-    ///
-    /// # Errors
-    ///
-    /// Propagates compile failures (the slot stays empty).
-    pub fn get_or_compile_codes(&self, array: &McamArray, metric: Metric) -> Result<CodesDispatch> {
+    /// The cached codes-mode engine at `metric`, compiling it on a miss
+    /// (see [`get_or_compile`](Self::get_or_compile) for the dispatch).
+    pub(crate) fn codes(&self, array: &McamArray, metric: Metric) -> Result<CodesDispatch> {
         if metric == Metric::McamConductance && array.has_per_cell_bank() {
-            return Ok(CodesDispatch::Planes(
-                self.get_or_compile::<f32>(array, metric)?,
-            ));
+            return Ok(CodesDispatch::Planes(self.plane::<f32>(array, metric)?));
         }
         let mut slots = lock(&self.codes_plans);
         if let Some(plan) = slots[metric.index()].as_ref() {
             return Ok(CodesDispatch::Packed(Arc::clone(plan)));
         }
-        let plan = Arc::new(CompiledCodes::compile_metric(array, metric)?);
+        let plan = Arc::new(CompiledCodes::compile(array, metric)?);
         slots[metric.index()] = Some(Arc::clone(&plan));
         Ok(CodesDispatch::Packed(plan))
     }
 
-    /// The cached packed-code plan at `metric` if one is currently
-    /// compiled, without compiling on a miss.
-    pub fn cached_codes(&self, metric: Metric) -> Option<Arc<CompiledCodes>> {
-        lock(&self.codes_plans)[metric.index()]
+    /// The cached `f64` plan at `metric` if one is currently compiled,
+    /// without compiling on a miss (what the cold-cache scalar
+    /// fallback checks before deciding whether a compile pays).
+    pub(crate) fn warm_f64(&self, metric: Metric) -> Option<Arc<CompiledMcam<f64>>> {
+        lock(&self.f64_plans)[metric.index()]
             .as_ref()
             .map(Arc::clone)
     }
@@ -744,16 +786,14 @@ where
 ///
 /// Compiling costs `n_levels × word_len × n_rows` LUT reads and the
 /// same amount of memory; it pays for itself once a handful of queries
-/// run against the same stored contents. The plan is a snapshot —
-/// rows stored after [`compile`](Self::compile) are not visible to it.
-/// Prefer the cached entry points on [`McamArray`]
-/// ([`search_batch_with`](McamArray::search_batch_with)) unless you
-/// need an explicit snapshot.
+/// run against the same stored contents. Plans live in the array's
+/// [`PlanCache`]: the first search that needs one compiles it, and a
+/// store drops it. [`McamArray::plan`] hands one out for inspection.
 ///
 /// # Examples
 ///
 /// ```
-/// use femcam_core::{CompiledMcam, ConductanceLut, LevelLadder, McamArray};
+/// use femcam_core::{ConductanceLut, LevelLadder, McamArray, Plan, Precision};
 /// use femcam_device::FefetModel;
 ///
 /// # fn main() -> femcam_core::Result<()> {
@@ -762,13 +802,14 @@ where
 /// let mut array = McamArray::new(ladder, lut, 4);
 /// array.store(&[0, 3, 7, 1])?;
 /// array.store(&[5, 5, 5, 5])?;
-/// let plan: CompiledMcam = CompiledMcam::compile(&array)?;
+/// let Plan::F64(plan) = array.plan(Precision::F64)? else { unreachable!() };
+/// // Bit-identical to the scalar physics path.
 /// assert_eq!(
-///     plan.search(&[0, 3, 7, 1])?.best_row(),
-///     array.search(&[0, 3, 7, 1])?.best_row(),
+///     plan.search(&[0, 3, 7, 1])?.conductances(),
+///     array.search(&[0, 3, 7, 1])?.conductances(),
 /// );
 /// // Opt-in fast mode: f32 planes, ~2x on the bandwidth-bound kernel.
-/// let fast = CompiledMcam::<f32>::compile(&array)?;
+/// let Plan::F32(fast) = array.plan(Precision::F32)? else { unreachable!() };
 /// assert_eq!(
 ///     fast.search(&[0, 3, 7, 1])?.best_row(),
 ///     plan.search(&[0, 3, 7, 1])?.best_row(),
@@ -840,28 +881,17 @@ unsafe fn fold_ps<const MAX: bool>(
 }
 
 impl<S: PlaneScalar> CompiledMcam<S> {
-    /// Compiles the array's current contents into a plane-major plan.
-    ///
-    /// Plane construction fans out over input levels on the workspace
-    /// executor when the array is large enough to justify it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::EmptyArray`] if nothing is stored.
-    pub fn compile(array: &McamArray) -> Result<Self> {
-        Self::compile_metric(array, Metric::default())
-    }
-
     /// Compiles the array's current contents into a plane-major plan
     /// whose per-cell values encode `metric` (see the
     /// [module-level "Metric modes"](self#metric-modes)): the device
     /// LUT / realized bank for [`Metric::McamConductance`], synthesized
-    /// level-space distances otherwise.
+    /// level-space distances otherwise. Plane construction fans out
+    /// over input levels when the array is large enough to justify it.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::EmptyArray`] if nothing is stored.
-    pub fn compile_metric(array: &McamArray, metric: Metric) -> Result<Self> {
+    pub(crate) fn compile(array: &McamArray, metric: Metric) -> Result<Self> {
         if array.is_empty() {
             return Err(CoreError::EmptyArray);
         }
@@ -1039,55 +1069,6 @@ impl<S: PlaneScalar> CompiledMcam<S> {
             out.iter().map(|g| g.to_f64()).collect(),
         ))
     }
-
-    /// Executes a batch of queries through the tiled block kernel,
-    /// sharding contiguous query groups across workers. `n_threads` is
-    /// an upper bound: the kernel forks only as many workers as the
-    /// workload earns ([`par::batch_threads`]), so raising the thread
-    /// count never regresses throughput. Results are in query order
-    /// and (in `f64` mode) bit-identical to running
-    /// [`search`](Self::search) per query; the first malformed query
-    /// (in input order) fails the batch before any work runs.
-    ///
-    /// # Errors
-    ///
-    /// Same per-query conditions as [`search`](Self::search).
-    pub fn search_batch(&self, queries: &[&[u8]], n_threads: usize) -> Result<Vec<SearchOutcome>> {
-        kernel_search_batch(self, queries, n_threads)
-    }
-
-    /// Like [`search_batch`](Self::search_batch), but returns only each
-    /// query's nearest row as `(row, total_conductance)` — the winner
-    /// argmin runs on the worker's scratch accumulators, so no per-row
-    /// vector is ever materialized per query.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search_batch`](Self::search_batch).
-    pub fn search_batch_winners(
-        &self,
-        queries: &[&[u8]],
-        n_threads: usize,
-    ) -> Result<Vec<(usize, f64)>> {
-        kernel_search_batch_winners(self, queries, n_threads)
-    }
-
-    /// Like [`search_batch`](Self::search_batch), but returns each
-    /// query's `k` nearest rows as `(row, total_conductance)`, nearest
-    /// first — selected by a bounded heap on the worker's reusable
-    /// scratch (no per-query heap allocation).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search_batch`](Self::search_batch).
-    pub fn search_batch_top_k(
-        &self,
-        queries: &[&[u8]],
-        k: usize,
-        n_threads: usize,
-    ) -> Result<Vec<Vec<(usize, f64)>>> {
-        kernel_search_batch_top_k(self, queries, k, n_threads)
-    }
 }
 
 /// The batched execution surface shared by the plane kernel
@@ -1143,6 +1124,32 @@ impl<S: PlaneScalar> BlockKernel for CompiledMcam<S> {
 
     fn batch_work_per_query(&self) -> usize {
         self.n_rows * self.word_len
+    }
+}
+
+/// A shared plan runs exactly like the plan it points to (what lets the
+/// banked drivers sweep the cache's `Arc`-held per-bank plans).
+impl<K: BlockKernel + Send> BlockKernel for Arc<K> {
+    type Acc = K::Acc;
+
+    fn n_rows(&self) -> usize {
+        K::n_rows(self)
+    }
+
+    fn block_len(&self) -> usize {
+        K::block_len(self)
+    }
+
+    fn check_query(&self, query: &[u8]) -> Result<()> {
+        K::check_query(self, query)
+    }
+
+    fn accumulate_block(&self, queries: &[&[u8]], acc: &mut [K::Acc], aux: &mut Vec<K::Acc>) {
+        K::accumulate_block(self, queries, acc, aux);
+    }
+
+    fn batch_work_per_query(&self) -> usize {
+        K::batch_work_per_query(self)
     }
 }
 
@@ -1203,8 +1210,8 @@ where
     Ok(per_group.into_iter().flatten().collect())
 }
 
-/// Generic batched full-outcome driver (see
-/// [`CompiledMcam::search_batch`] for the caller-facing contract).
+/// Generic batched full-outcome driver (see [`Plan::search_batch`] for
+/// the caller-facing contract).
 fn kernel_search_batch<K: BlockKernel>(
     kernel: &K,
     queries: &[&[u8]],
@@ -1215,8 +1222,7 @@ fn kernel_search_batch<K: BlockKernel>(
     })
 }
 
-/// Generic batched winners driver (see
-/// [`CompiledMcam::search_batch_winners`]).
+/// Generic batched winners driver (see [`Plan::search_batch_winners`]).
 fn kernel_search_batch_winners<K: BlockKernel>(
     kernel: &K,
     queries: &[&[u8]],
@@ -1228,8 +1234,7 @@ fn kernel_search_batch_winners<K: BlockKernel>(
     })
 }
 
-/// Generic batched top-k driver (see
-/// [`CompiledMcam::search_batch_top_k`]).
+/// Generic batched top-k driver (see [`Plan::search_batch_top_k`]).
 fn kernel_search_batch_top_k<K: BlockKernel>(
     kernel: &K,
     queries: &[&[u8]],
@@ -1278,15 +1283,14 @@ impl CompiledMcam<f64> {
 /// so the gather index `code & (stride - 1)` provably stays in bounds —
 /// the inner loop carries no bound check.
 ///
-/// Only shared-LUT arrays can compile to codes; per-cell (variation)
-/// arrays must use a plane plan ([`CoreError::PerCellBank`]). The
-/// cached entry points ([`McamArray::compiled_codes`]) make that
-/// fallback transparent via [`CodesDispatch`].
+/// Only shared-LUT arrays can compile to codes under the conductance
+/// metric; the plan cache serves per-cell (variation) arrays from the
+/// `f32` plane plan instead, transparently, via [`CodesDispatch`].
 ///
 /// # Examples
 ///
 /// ```
-/// use femcam_core::{CompiledCodes, CompiledMcam, ConductanceLut, LevelLadder, McamArray};
+/// use femcam_core::{ConductanceLut, LevelLadder, McamArray, Plan, Precision};
 /// use femcam_device::FefetModel;
 ///
 /// # fn main() -> femcam_core::Result<()> {
@@ -1296,8 +1300,9 @@ impl CompiledMcam<f64> {
 /// array.store(&[0, 3, 7, 1])?;
 /// array.store(&[5, 5, 5, 5])?;
 /// array.store(&[2, 6, 0, 4])?;
-/// let codes = CompiledCodes::compile(&array)?;
-/// let f32_plan = CompiledMcam::<f32>::compile(&array)?;
+/// let codes = array.plan(Precision::Codes)?;
+/// let f32_plan = array.plan(Precision::F32)?;
+/// assert!(matches!(&codes, Plan::Codes(dispatch) if dispatch.is_packed()));
 /// // Bit-identical to the f32 plane plan, at a fraction of the bytes.
 /// assert_eq!(
 ///     codes.search(&[0, 3, 7, 1])?.conductances(),
@@ -1326,7 +1331,12 @@ pub struct CompiledCodes {
 }
 
 impl CompiledCodes {
-    /// Compiles the array's current contents into a packed-code plan.
+    /// Compiles the array's current contents into a packed-code plan
+    /// whose LUT encodes `metric`: the shared device LUT for
+    /// [`Metric::McamConductance`], a synthesized level-space distance
+    /// table otherwise. Synthesized metrics are digital — they read
+    /// stored level codes only — so they pack even on per-cell
+    /// (variation) arrays.
     ///
     /// Costs one byte write per stored cell plus an
     /// `n_levels × n_levels` LUT round-trip — about one scalar query's
@@ -1336,26 +1346,10 @@ impl CompiledCodes {
     /// # Errors
     ///
     /// * [`CoreError::EmptyArray`] if nothing is stored.
-    /// * [`CoreError::PerCellBank`] if the array realizes per-cell
-    ///   conductances (device variation) — use a plane plan, or the
-    ///   transparent [`McamArray::compiled_codes`] dispatch.
-    pub fn compile(array: &McamArray) -> Result<Self> {
-        Self::compile_metric(array, Metric::default())
-    }
-
-    /// Compiles the array's current contents into a packed-code plan
-    /// whose LUT encodes `metric`: the shared device LUT for
-    /// [`Metric::McamConductance`], a synthesized level-space distance
-    /// table otherwise. Synthesized metrics are digital — they read
-    /// stored level codes only — so they pack even on per-cell
-    /// (variation) arrays.
-    ///
-    /// # Errors
-    ///
-    /// * [`CoreError::EmptyArray`] if nothing is stored.
     /// * [`CoreError::PerCellBank`] for [`Metric::McamConductance`] on
-    ///   an array realizing per-cell conductances (device variation).
-    pub fn compile_metric(array: &McamArray, metric: Metric) -> Result<Self> {
+    ///   an array realizing per-cell conductances (device variation) —
+    ///   the cache dispatches those to the `f32` planes instead.
+    pub(crate) fn compile(array: &McamArray, metric: Metric) -> Result<Self> {
         if array.is_empty() {
             return Err(CoreError::EmptyArray);
         }
@@ -1860,46 +1854,6 @@ impl CompiledCodes {
             out.iter().map(|&g| f64::from(g)).collect(),
         ))
     }
-
-    /// Batched execution through the generic tiled driver — same
-    /// contract as [`CompiledMcam::search_batch`], bit-identical to the
-    /// `f32` plane plan on the same contents.
-    ///
-    /// # Errors
-    ///
-    /// Same per-query conditions as [`search`](Self::search).
-    pub fn search_batch(&self, queries: &[&[u8]], n_threads: usize) -> Result<Vec<SearchOutcome>> {
-        kernel_search_batch(self, queries, n_threads)
-    }
-
-    /// Batched winners — same contract as
-    /// [`CompiledMcam::search_batch_winners`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search_batch`](Self::search_batch).
-    pub fn search_batch_winners(
-        &self,
-        queries: &[&[u8]],
-        n_threads: usize,
-    ) -> Result<Vec<(usize, f64)>> {
-        kernel_search_batch_winners(self, queries, n_threads)
-    }
-
-    /// Batched top-k — same contract as
-    /// [`CompiledMcam::search_batch_top_k`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search_batch`](Self::search_batch).
-    pub fn search_batch_top_k(
-        &self,
-        queries: &[&[u8]],
-        k: usize,
-        n_threads: usize,
-    ) -> Result<Vec<Vec<(usize, f64)>>> {
-        kernel_search_batch_top_k(self, queries, k, n_threads)
-    }
 }
 
 impl BlockKernel for CompiledCodes {
@@ -1930,9 +1884,8 @@ impl BlockKernel for CompiledCodes {
 /// plan on shared-LUT arrays, or the transparent `f32` plane fallback
 /// on per-cell (variation) arrays — the dispatch half of
 /// [`Precision::Codes`] (see the
-/// [module-level "Codes mode"](self#codes-mode)). Obtained from the
-/// cached entry points ([`McamArray::compiled_codes`],
-/// [`PlanCache::get_or_compile_codes`]).
+/// [module-level "Codes mode"](self#codes-mode)). Handed out as
+/// [`Plan::Codes`] by [`McamArray::plan`].
 #[derive(Debug, Clone)]
 pub enum CodesDispatch {
     /// Shared-LUT array: the LUT-gather kernel (bit-identical to `f32`
@@ -1944,63 +1897,11 @@ pub enum CodesDispatch {
 }
 
 impl CodesDispatch {
-    /// Compiles a fresh (uncached) codes-mode snapshot of `array` —
-    /// the single definition of the dispatch rule: shared-LUT arrays
-    /// pack to codes, per-cell (variation) arrays fall back to the
-    /// `f32` plane plan. [`PlanCache::get_or_compile_codes`] applies
-    /// the same rule against its cached slots;
-    /// [`CompiledBankedCodes::compile`] uses this per bank.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::EmptyArray`] if nothing is stored.
-    pub fn compile_snapshot(array: &McamArray) -> Result<CodesDispatch> {
-        Self::compile_snapshot_metric(array, Metric::default())
-    }
-
-    /// [`compile_snapshot`](Self::compile_snapshot) at a chosen
-    /// [`Metric`]. Synthesized (digital) metrics always pack — only the
-    /// conductance metric needs the `f32` plane fallback on per-cell
-    /// (variation) arrays.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::EmptyArray`] if nothing is stored.
-    pub fn compile_snapshot_metric(array: &McamArray, metric: Metric) -> Result<CodesDispatch> {
-        if metric == Metric::McamConductance && array.has_per_cell_bank() {
-            Ok(CodesDispatch::Planes(Arc::new(
-                CompiledMcam::<f32>::compile_metric(array, metric)?,
-            )))
-        } else {
-            Ok(CodesDispatch::Packed(Arc::new(
-                CompiledCodes::compile_metric(array, metric)?,
-            )))
-        }
-    }
-
-    /// The metric this snapshot was compiled for.
-    #[must_use]
-    pub fn metric(&self) -> Metric {
-        match self {
-            CodesDispatch::Packed(c) => c.metric(),
-            CodesDispatch::Planes(p) => p.metric(),
-        }
-    }
-
     /// `true` when the packed-code kernel serves this array (no
     /// variation fallback).
     #[must_use]
     pub fn is_packed(&self) -> bool {
         matches!(self, CodesDispatch::Packed(_))
-    }
-
-    /// Rows in the compiled snapshot.
-    #[must_use]
-    pub fn n_rows(&self) -> usize {
-        match self {
-            CodesDispatch::Packed(c) => c.n_rows(),
-            CodesDispatch::Planes(p) => p.n_rows(),
-        }
     }
 
     /// Resident bytes of the serving plan.
@@ -2011,88 +1912,139 @@ impl CodesDispatch {
             CodesDispatch::Planes(p) => p.plan_bytes(),
         }
     }
-
-    /// Executes one query on the serving engine.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CompiledCodes::search`].
-    pub fn search(&self, query: &[u8]) -> Result<SearchOutcome> {
-        match self {
-            CodesDispatch::Packed(c) => c.search(query),
-            CodesDispatch::Planes(p) => p.search(query),
-        }
-    }
-
-    /// Batched execution on the serving engine.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CompiledCodes::search_batch`].
-    pub fn search_batch(&self, queries: &[&[u8]], n_threads: usize) -> Result<Vec<SearchOutcome>> {
-        kernel_search_batch(self, queries, n_threads)
-    }
-
-    /// Batched winners on the serving engine.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CompiledCodes::search_batch`].
-    pub fn search_batch_winners(
-        &self,
-        queries: &[&[u8]],
-        n_threads: usize,
-    ) -> Result<Vec<(usize, f64)>> {
-        kernel_search_batch_winners(self, queries, n_threads)
-    }
-
-    /// Batched top-k on the serving engine.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CompiledCodes::search_batch`].
-    pub fn search_batch_top_k(
-        &self,
-        queries: &[&[u8]],
-        k: usize,
-        n_threads: usize,
-    ) -> Result<Vec<Vec<(usize, f64)>>> {
-        kernel_search_batch_top_k(self, queries, k, n_threads)
-    }
 }
 
 impl BlockKernel for CodesDispatch {
     type Acc = f32;
 
     fn n_rows(&self) -> usize {
-        CodesDispatch::n_rows(self)
+        match self {
+            CodesDispatch::Packed(c) => BlockKernel::n_rows(c),
+            CodesDispatch::Planes(p) => BlockKernel::n_rows(p),
+        }
     }
 
     fn block_len(&self) -> usize {
         match self {
-            CodesDispatch::Packed(c) => c.block_len(),
-            CodesDispatch::Planes(p) => p.block_len(),
+            CodesDispatch::Packed(c) => BlockKernel::block_len(c),
+            CodesDispatch::Planes(p) => BlockKernel::block_len(p),
         }
     }
 
     fn check_query(&self, query: &[u8]) -> Result<()> {
         match self {
-            CodesDispatch::Packed(c) => c.check_query(query),
-            CodesDispatch::Planes(p) => p.check_query(query),
+            CodesDispatch::Packed(c) => BlockKernel::check_query(c, query),
+            CodesDispatch::Planes(p) => BlockKernel::check_query(p, query),
         }
     }
 
     fn accumulate_block(&self, queries: &[&[u8]], acc: &mut [f32], aux: &mut Vec<f32>) {
         match self {
-            CodesDispatch::Packed(c) => c.accumulate_block(queries, acc, aux),
-            CodesDispatch::Planes(p) => p.accumulate_block(queries, acc),
+            CodesDispatch::Packed(c) => BlockKernel::accumulate_block(c, queries, acc, aux),
+            CodesDispatch::Planes(p) => BlockKernel::accumulate_block(p, queries, acc, aux),
         }
     }
 
     fn batch_work_per_query(&self) -> usize {
         match self {
-            CodesDispatch::Packed(c) => BlockKernel::batch_work_per_query(c.as_ref()),
-            CodesDispatch::Planes(p) => BlockKernel::batch_work_per_query(p.as_ref()),
+            CodesDispatch::Packed(c) => BlockKernel::batch_work_per_query(c),
+            CodesDispatch::Planes(p) => BlockKernel::batch_work_per_query(p),
+        }
+    }
+}
+
+/// The cached compiled plan one [`SearchSpec`] executes on, as
+/// [`McamArray::plan`] hands it out: the `f64` or `f32` plane plan, or
+/// the codes-mode [`CodesDispatch`]. Every variant carries the spec's
+/// metric. The batch methods run the shared tiled drivers at an
+/// explicit worker budget (`n_threads` is an upper bound: a batch
+/// forks only as many workers as its work earns, [`par::batch_threads`]),
+/// with results in query order and bit-identical at any budget; the
+/// first malformed query (in input order) fails the batch before any
+/// work runs.
+#[derive(Debug, Clone)]
+pub enum Plan {
+    /// [`Precision::F64`]: the bit-identical reference planes.
+    F64(Arc<CompiledMcam<f64>>),
+    /// [`Precision::F32`]: the opt-in fast planes.
+    F32(Arc<CompiledMcam<f32>>),
+    /// [`Precision::Codes`]: packed codes, or the `f32` plane fallback.
+    Codes(CodesDispatch),
+}
+
+impl Plan {
+    /// Executes one query and returns the full per-row outcome; rows
+    /// shard across workers when the workload justifies forking.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::WordLengthMismatch`] / [`CoreError::LevelOutOfRange`]
+    /// for malformed queries.
+    pub fn search(&self, query: &[u8]) -> Result<SearchOutcome> {
+        match self {
+            Plan::F64(p) => p.search(query),
+            Plan::F32(p) | Plan::Codes(CodesDispatch::Planes(p)) => p.search(query),
+            Plan::Codes(CodesDispatch::Packed(c)) => c.search(query),
+        }
+    }
+
+    /// Every query's full per-row outcome.
+    ///
+    /// # Errors
+    ///
+    /// Same per-query conditions as [`search`](Self::search).
+    pub fn search_batch(&self, queries: &[&[u8]], n_threads: usize) -> Result<Vec<SearchOutcome>> {
+        match self {
+            Plan::F64(p) => kernel_search_batch(p, queries, n_threads),
+            Plan::F32(p) => kernel_search_batch(p, queries, n_threads),
+            Plan::Codes(d) => kernel_search_batch(d, queries, n_threads),
+        }
+    }
+
+    /// Each query's nearest row as `(row, score)` — the argmin runs on
+    /// the worker's scratch, so no per-row vector is materialized.
+    ///
+    /// # Errors
+    ///
+    /// Same per-query conditions as [`search`](Self::search).
+    pub fn search_batch_winners(
+        &self,
+        queries: &[&[u8]],
+        n_threads: usize,
+    ) -> Result<Vec<(usize, f64)>> {
+        match self {
+            Plan::F64(p) => kernel_search_batch_winners(p, queries, n_threads),
+            Plan::F32(p) => kernel_search_batch_winners(p, queries, n_threads),
+            Plan::Codes(d) => kernel_search_batch_winners(d, queries, n_threads),
+        }
+    }
+
+    /// Each query's `k` nearest rows as `(row, score)`, nearest first,
+    /// selected by a bounded heap on the worker's reusable scratch.
+    ///
+    /// # Errors
+    ///
+    /// Same per-query conditions as [`search`](Self::search).
+    pub fn search_batch_top_k(
+        &self,
+        queries: &[&[u8]],
+        k: usize,
+        n_threads: usize,
+    ) -> Result<Vec<Vec<(usize, f64)>>> {
+        match self {
+            Plan::F64(p) => kernel_search_batch_top_k(p, queries, k, n_threads),
+            Plan::F32(p) => kernel_search_batch_top_k(p, queries, k, n_threads),
+            Plan::Codes(d) => kernel_search_batch_top_k(d, queries, k, n_threads),
+        }
+    }
+
+    /// Resident bytes of this plan.
+    #[must_use]
+    pub fn plan_bytes(&self) -> usize {
+        match self {
+            Plan::F64(p) => p.plan_bytes(),
+            Plan::F32(p) => p.plan_bytes(),
+            Plan::Codes(d) => d.plan_bytes(),
         }
     }
 }
@@ -2111,169 +2063,18 @@ fn argmin<S: PlaneScalar>(scores: &[S]) -> (usize, S) {
     (best, best_g)
 }
 
-/// A compiled multi-bank plan: one [`CompiledMcam`] per bank plus the
-/// fixed-order hierarchical winner-take-all merge.
-#[derive(Debug, Clone)]
-pub struct CompiledBanked<S: PlaneScalar = f64> {
-    plans: Vec<CompiledMcam<S>>,
-    rows_per_bank: usize,
-}
-
-impl<S: PlaneScalar> CompiledBanked<S> {
-    /// Compiles per-bank plans (banks compile independently).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::EmptyArray`] if `banks` is empty or any
-    /// bank is.
-    pub fn compile(banks: &[McamArray], rows_per_bank: usize) -> Result<Self> {
-        Self::compile_metric(banks, rows_per_bank, Metric::default())
-    }
-
-    /// [`compile`](Self::compile) at a chosen [`Metric`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::EmptyArray`] if `banks` is empty or any
-    /// bank is.
-    pub fn compile_metric(
-        banks: &[McamArray],
-        rows_per_bank: usize,
-        metric: Metric,
-    ) -> Result<Self> {
-        if banks.is_empty() {
-            return Err(CoreError::EmptyArray);
-        }
-        let plans = par::try_par_map(banks, 1, |_, bank| {
-            CompiledMcam::compile_metric(bank, metric)
-        })?;
-        Ok(CompiledBanked {
-            plans,
-            rows_per_bank,
-        })
-    }
-
-    /// Number of banks.
-    #[must_use]
-    pub fn n_banks(&self) -> usize {
-        self.plans.len()
-    }
-
-    /// Total rows across banks.
-    #[must_use]
-    pub fn n_rows(&self) -> usize {
-        self.plans.iter().map(CompiledMcam::n_rows).sum()
-    }
-
-    /// The precision this plan was compiled at.
-    #[must_use]
-    pub fn precision(&self) -> Precision {
-        S::PRECISION
-    }
-
-    /// Total resident bytes across the per-bank plans.
-    #[must_use]
-    pub fn plan_bytes(&self) -> usize {
-        self.plans.iter().map(CompiledMcam::plan_bytes).sum()
-    }
-
-    /// Searches every bank (banks shard across up to `n_threads`
-    /// workers) and merges the per-bank winners in bank order; returns
-    /// `(global_row, total_conductance)` of the overall nearest row.
-    ///
-    /// # Errors
-    ///
-    /// Propagates per-bank query validation failures.
-    pub fn search(&self, query: &[u8], n_threads: usize) -> Result<(usize, f64)> {
-        let plans: Vec<&CompiledMcam<S>> = self.plans.iter().collect();
-        banked_winner(&plans, self.rows_per_bank, query, n_threads)
-    }
-
-    /// Searches a batch of queries, sharding contiguous query groups
-    /// across up to `n_threads` workers (each worker sweeps every bank
-    /// for its queries, so one fork–join serves the whole batch); each
-    /// result is the merged `(global_row, total_conductance)` winner
-    /// for that query, in query order.
-    ///
-    /// Banks run ascending and the per-query merge folds in bank
-    /// order, so winners (including lowest-index tie-breaks) are
-    /// bit-identical to a sequential sweep at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// The first failing query (in input order) fails the batch.
-    pub fn search_batch(&self, queries: &[&[u8]], n_threads: usize) -> Result<Vec<(usize, f64)>> {
-        let plans: Vec<&CompiledMcam<S>> = self.plans.iter().collect();
-        banked_winner_batch(&plans, self.rows_per_bank, queries, n_threads)
-    }
-}
-
-/// Thread-gating cost of one query against a set of per-bank kernels:
-/// the sum of each bank's own estimate, so mixed dispatches (packed
-/// codes banks next to plane-fallback banks) are costed by what each
-/// bank actually executes.
-pub(crate) fn banked_work_per_query<K: BlockKernel>(plans: &[&K]) -> usize {
-    plans.iter().map(|p| p.batch_work_per_query()).sum()
-}
-
-/// Global base rows of a full `n_banks`-bank sweep — the all-banks
-/// instantiation of the bank-mask contract (see the module-level
-/// ["Bank-mask contract"](self#bank-mask-contract)).
-pub(crate) fn bank_bases(n_banks: usize, rows_per_bank: usize) -> Vec<usize> {
-    (0..n_banks).map(|b| b * rows_per_bank).collect()
-}
-
-/// Single-query hierarchical winner-take-all over per-bank kernels:
-/// banks shard across up to `n_threads` workers, winners merge in
-/// ascending bank order (fixed-order fold, lowest-global-row
-/// tie-break). Generic over the kernel, so the plane and packed-code
-/// banked paths share one merge.
-///
-/// `bases[i]` is the global base row of `plans[i]` — pass
-/// [`bank_bases`] for a full sweep, or any ascending bank subset's true
-/// bases for a masked sweep (the module-level
-/// ["Bank-mask contract"](self#bank-mask-contract)).
-pub(crate) fn banked_winner_kernel<K: BlockKernel>(
-    plans: &[&K],
-    bases: &[usize],
-    query: &[u8],
-    n_threads: usize,
-) -> Result<(usize, f64)> {
-    debug_assert_eq!(plans.len(), bases.len(), "one base per bank kernel");
-    // femcam::allow(no_panic): callers pass one plan per bank and banked
-    // memories have >= 1 bank.
-    let first = plans.first().expect("at least one bank");
-    first.check_query(query)?;
-    let block = [query];
-    let per_bank = par::par_map(plans, n_threads.min(plans.len()), |_, plan| {
-        let mut acc = vec![K::Acc::ZERO; plan.n_rows()];
-        let mut aux = Vec::new();
-        plan.accumulate_block(&block, &mut acc, &mut aux);
-        let (local, g) = argmin(&acc);
-        (local, g.to_f64())
-    });
-    let mut best: Option<(usize, f64)> = None;
-    for (&base, &(local, g)) in bases.iter().zip(per_bank.iter()) {
-        let global = base + local;
-        if best.is_none_or(|(_, bg)| g < bg) {
-            best = Some((global, g));
-        }
-    }
-    // femcam::allow(no_panic): the loop above ran over >= 1 bank, so a
-    // winner exists.
-    Ok(best.expect("merge over at least one bank"))
-}
-
 /// Batched hierarchical winner-take-all over per-bank kernels:
 /// contiguous query groups shard across workers; each worker sweeps
 /// banks in ascending order for its group with one reusable scratch,
 /// merging per-query winners in bank order as it goes.
 ///
-/// `bases[i]` is the global base row of `plans[i]` (see
-/// [`banked_winner_kernel`] and the module-level
-/// ["Bank-mask contract"](self#bank-mask-contract)).
+/// `bases[i]` is the global base row of `plans[i]` (the module-level
+/// ["Bank-mask contract"](self#bank-mask-contract)). Thread gating sums
+/// each bank's own work estimate, so mixed dispatches (packed codes
+/// banks next to plane-fallback banks) are costed by what each bank
+/// actually executes.
 pub(crate) fn banked_winner_batch_kernel<K: BlockKernel>(
-    plans: &[&K],
+    plans: &[K],
     bases: &[usize],
     queries: &[&[u8]],
     n_threads: usize,
@@ -2288,7 +2089,8 @@ pub(crate) fn banked_winner_batch_kernel<K: BlockKernel>(
     if queries.is_empty() {
         return Ok(Vec::new());
     }
-    let threads = par::batch_threads(queries.len(), banked_work_per_query(plans), n_threads);
+    let work: usize = plans.iter().map(BlockKernel::batch_work_per_query).sum();
+    let threads = par::batch_threads(queries.len(), work, n_threads);
     let group = queries.len().div_ceil(threads).max(1);
     let groups: Vec<&[&[u8]]> = queries.chunks(group).collect();
     let per_group = par::par_map(&groups, threads, |_, group| {
@@ -2324,135 +2126,6 @@ pub(crate) fn banked_winner_batch_kernel<K: BlockKernel>(
             .collect::<Vec<_>>()
     });
     Ok(per_group.into_iter().flatten().collect())
-}
-
-/// Single-query winner merge over per-bank plane plans (the
-/// [`banked_winner_kernel`] instantiation the plane paths use).
-pub(crate) fn banked_winner<S: PlaneScalar>(
-    plans: &[&CompiledMcam<S>],
-    rows_per_bank: usize,
-    query: &[u8],
-    n_threads: usize,
-) -> Result<(usize, f64)> {
-    banked_winner_kernel(
-        plans,
-        &bank_bases(plans.len(), rows_per_bank),
-        query,
-        n_threads,
-    )
-}
-
-/// Batched winner merge over per-bank plane plans (the
-/// [`banked_winner_batch_kernel`] instantiation the plane paths use).
-pub(crate) fn banked_winner_batch<S: PlaneScalar>(
-    plans: &[&CompiledMcam<S>],
-    rows_per_bank: usize,
-    queries: &[&[u8]],
-    n_threads: usize,
-) -> Result<Vec<(usize, f64)>> {
-    banked_winner_batch_kernel(
-        plans,
-        &bank_bases(plans.len(), rows_per_bank),
-        queries,
-        n_threads,
-    )
-}
-
-/// A compiled multi-bank packed-code plan: one [`CodesDispatch`] per
-/// bank (packed codes for shared-LUT banks, `f32` plane fallback for
-/// variation banks) plus the same fixed-order winner merge as
-/// [`CompiledBanked`]. An explicit snapshot — the cached entry points
-/// ([`crate::banked::BankedMcam::search_batch_with`] at
-/// [`Precision::Codes`]) are usually preferable.
-#[derive(Debug, Clone)]
-pub struct CompiledBankedCodes {
-    plans: Vec<CodesDispatch>,
-    rows_per_bank: usize,
-}
-
-impl CompiledBankedCodes {
-    /// Compiles per-bank codes plans (falling back to `f32` planes for
-    /// any bank realized with device variation).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::EmptyArray`] if `banks` is empty or any
-    /// bank is.
-    pub fn compile(banks: &[McamArray], rows_per_bank: usize) -> Result<Self> {
-        Self::compile_metric(banks, rows_per_bank, Metric::default())
-    }
-
-    /// [`compile`](Self::compile) at a chosen [`Metric`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::EmptyArray`] if `banks` is empty or any
-    /// bank is.
-    pub fn compile_metric(
-        banks: &[McamArray],
-        rows_per_bank: usize,
-        metric: Metric,
-    ) -> Result<Self> {
-        if banks.is_empty() {
-            return Err(CoreError::EmptyArray);
-        }
-        let plans = par::try_par_map(banks, 1, |_, bank| {
-            CodesDispatch::compile_snapshot_metric(bank, metric)
-        })?;
-        Ok(CompiledBankedCodes {
-            plans,
-            rows_per_bank,
-        })
-    }
-
-    /// Number of banks.
-    #[must_use]
-    pub fn n_banks(&self) -> usize {
-        self.plans.len()
-    }
-
-    /// Total rows across banks.
-    #[must_use]
-    pub fn n_rows(&self) -> usize {
-        self.plans.iter().map(CodesDispatch::n_rows).sum()
-    }
-
-    /// The precision tag of this plan ([`Precision::Codes`]).
-    #[must_use]
-    pub fn precision(&self) -> Precision {
-        Precision::Codes
-    }
-
-    /// Total resident bytes across the per-bank plans.
-    #[must_use]
-    pub fn plan_bytes(&self) -> usize {
-        self.plans.iter().map(CodesDispatch::plan_bytes).sum()
-    }
-
-    /// Searches every bank and merges the per-bank winners in bank
-    /// order — same contract as [`CompiledBanked::search`],
-    /// bit-identical to the `f32` banked plan on shared-LUT banks.
-    ///
-    /// # Errors
-    ///
-    /// Propagates per-bank query validation failures.
-    pub fn search(&self, query: &[u8], n_threads: usize) -> Result<(usize, f64)> {
-        let plans: Vec<&CodesDispatch> = self.plans.iter().collect();
-        let bases = bank_bases(plans.len(), self.rows_per_bank);
-        banked_winner_kernel(&plans, &bases, query, n_threads)
-    }
-
-    /// Batched multi-bank search — same contract as
-    /// [`CompiledBanked::search_batch`].
-    ///
-    /// # Errors
-    ///
-    /// The first failing query (in input order) fails the batch.
-    pub fn search_batch(&self, queries: &[&[u8]], n_threads: usize) -> Result<Vec<(usize, f64)>> {
-        let plans: Vec<&CodesDispatch> = self.plans.iter().collect();
-        let bases = bank_bases(plans.len(), self.rows_per_bank);
-        banked_winner_batch_kernel(&plans, &bases, queries, n_threads)
-    }
 }
 
 /// `f64` ordered by [`f64::total_cmp`] for heap membership.
@@ -2540,13 +2213,34 @@ mod tests {
         a
     }
 
+    fn f64_plan(a: &McamArray) -> Arc<CompiledMcam<f64>> {
+        match a.plan(Precision::F64).unwrap() {
+            Plan::F64(p) => p,
+            other => panic!("f64 spec served by {other:?}"),
+        }
+    }
+
+    fn f32_plan(a: &McamArray) -> Arc<CompiledMcam<f32>> {
+        match a.plan(Precision::F32).unwrap() {
+            Plan::F32(p) => p,
+            other => panic!("f32 spec served by {other:?}"),
+        }
+    }
+
+    fn codes_plan(a: &McamArray) -> CodesDispatch {
+        match a.plan(Precision::Codes).unwrap() {
+            Plan::Codes(d) => d,
+            other => panic!("codes spec served by {other:?}"),
+        }
+    }
+
     #[test]
     fn compiled_search_is_bit_identical_to_scalar() {
         let rows: Vec<Vec<u8>> = (0..17)
             .map(|i| (0..6).map(|c| ((i * 3 + c * 5) % 8) as u8).collect())
             .collect();
         let a = array_with_rows(6, &rows);
-        let plan: CompiledMcam = CompiledMcam::compile(&a).unwrap();
+        let plan: CompiledMcam = CompiledMcam::compile(&a, Metric::default()).unwrap();
         for q in [[0u8, 1, 2, 3, 4, 5], [7, 7, 0, 0, 3, 3], [2, 2, 2, 2, 2, 2]] {
             let scalar = a.search(&q).unwrap();
             let compiled = plan.search(&q).unwrap();
@@ -2573,7 +2267,7 @@ mod tests {
             a.store(&[i % 8, (i + 1) % 8, (i + 2) % 8, (i + 3) % 8, (i + 5) % 8])
                 .unwrap();
         }
-        let plan: CompiledMcam = CompiledMcam::compile(&a).unwrap();
+        let plan: CompiledMcam = CompiledMcam::compile(&a, Metric::default()).unwrap();
         let q = [4u8, 0, 6, 2, 7];
         assert_eq!(
             a.search(&q).unwrap().conductances(),
@@ -2584,7 +2278,7 @@ mod tests {
     #[test]
     fn compiled_plan_is_a_snapshot() {
         let mut a = array_with_rows(2, &[vec![0, 0]]);
-        let plan: CompiledMcam = CompiledMcam::compile(&a).unwrap();
+        let plan: CompiledMcam = CompiledMcam::compile(&a, Metric::default()).unwrap();
         a.store(&[7, 7]).unwrap();
         assert_eq!(plan.n_rows(), 1);
         assert_eq!(a.n_rows(), 2);
@@ -2594,7 +2288,7 @@ mod tests {
     #[test]
     fn compiled_validation_mirrors_scalar_errors() {
         let a = array_with_rows(3, &[vec![1, 2, 3]]);
-        let plan: CompiledMcam = CompiledMcam::compile(&a).unwrap();
+        let plan: CompiledMcam = CompiledMcam::compile(&a, Metric::default()).unwrap();
         assert!(matches!(
             plan.search(&[1, 2]),
             Err(CoreError::WordLengthMismatch {
@@ -2612,7 +2306,7 @@ mod tests {
             3,
         );
         assert!(matches!(
-            CompiledMcam::<f64>::compile(&empty),
+            CompiledMcam::<f64>::compile(&empty, Metric::default()),
             Err(CoreError::EmptyArray)
         ));
     }
@@ -2623,7 +2317,7 @@ mod tests {
             .map(|i| (0..4).map(|c| ((i * 7 + c) % 8) as u8).collect())
             .collect();
         let a = array_with_rows(4, &rows);
-        let plan: CompiledMcam = CompiledMcam::compile(&a).unwrap();
+        let plan: CompiledMcam = CompiledMcam::compile(&a, Metric::default()).unwrap();
         let q = [3u8, 1, 4, 1];
         let mut inline = vec![0.0; plan.n_rows()];
         plan.search_into(&q, 1, &mut inline).unwrap();
@@ -2642,7 +2336,7 @@ mod tests {
     #[test]
     fn batch_results_are_in_query_order_and_first_error_wins() {
         let a = array_with_rows(2, &[vec![0, 0], vec![7, 7], vec![3, 3]]);
-        let plan: CompiledMcam = CompiledMcam::compile(&a).unwrap();
+        let plan = a.plan(Precision::F64).unwrap();
         let queries: Vec<Vec<u8>> = vec![vec![0, 0], vec![7, 7], vec![3, 4]];
         let refs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
         let outcomes = plan.search_batch(&refs, 4).unwrap();
@@ -2663,7 +2357,7 @@ mod tests {
             .map(|i| (0..5).map(|c| ((i * 5 + c * 3) % 8) as u8).collect())
             .collect();
         let a = array_with_rows(5, &rows);
-        let plan: CompiledMcam = CompiledMcam::compile(&a).unwrap();
+        let plan = a.plan(Precision::F64).unwrap();
         let queries: Vec<Vec<u8>> = (0..9)
             .map(|i| (0..5).map(|c| ((i * 7 + c) % 8) as u8).collect())
             .collect();
@@ -2689,8 +2383,8 @@ mod tests {
             .map(|i| (0..6).map(|c| ((i * 3 + c * 5) % 8) as u8).collect())
             .collect();
         let a = array_with_rows(6, &rows);
-        let plan64 = CompiledMcam::<f64>::compile(&a).unwrap();
-        let plan32 = CompiledMcam::<f32>::compile(&a).unwrap();
+        let plan64 = CompiledMcam::<f64>::compile(&a, Metric::default()).unwrap();
+        let plan32 = CompiledMcam::<f32>::compile(&a, Metric::default()).unwrap();
         assert_eq!(plan32.precision(), Precision::F32);
         for (i, row) in rows.iter().enumerate().take(8) {
             // Exact-match queries have an unambiguous winner.
@@ -2708,16 +2402,16 @@ mod tests {
     #[test]
     fn plan_cache_compiles_once_and_invalidates() {
         let mut a = array_with_rows(2, &[vec![0, 0], vec![7, 7]]);
-        let p1 = a.compiled().unwrap();
-        let p2 = a.compiled().unwrap();
+        let p1 = f64_plan(&a);
+        let p2 = f64_plan(&a);
         assert!(Arc::ptr_eq(&p1, &p2), "cache must return the same plan");
-        let f1 = a.compiled_f32().unwrap();
+        let f1 = f32_plan(&a);
         assert_eq!(f1.precision(), Precision::F32);
         a.store(&[3, 3]).unwrap();
-        let p3 = a.compiled().unwrap();
+        let p3 = f64_plan(&a);
         assert!(!Arc::ptr_eq(&p1, &p3), "store must invalidate the cache");
         assert_eq!(p3.n_rows(), 3);
-        let f2 = a.compiled_f32().unwrap();
+        let f2 = f32_plan(&a);
         assert!(!Arc::ptr_eq(&f1, &f2));
         assert_eq!(f2.n_rows(), 3);
     }
@@ -2728,12 +2422,16 @@ mod tests {
             .map(|i| (0..6).map(|c| ((i * 5 + c * 3) % 8) as u8).collect())
             .collect();
         let a = array_with_rows(6, &rows);
-        let plan32 = CompiledMcam::<f32>::compile(&a).unwrap();
-        let codes = CompiledCodes::compile(&a).unwrap();
-        assert_eq!(codes.precision(), Precision::Codes);
-        assert_eq!(codes.n_rows(), plan32.n_rows());
-        assert_eq!(codes.word_len(), plan32.word_len());
-        assert_eq!(codes.n_levels(), plan32.n_levels());
+        let CodesDispatch::Packed(packed) = codes_plan(&a) else {
+            panic!("shared-LUT array must dispatch packed");
+        };
+        let f32_planes = f32_plan(&a);
+        assert_eq!(packed.precision(), Precision::Codes);
+        assert_eq!(packed.n_rows(), f32_planes.n_rows());
+        assert_eq!(packed.word_len(), f32_planes.word_len());
+        assert_eq!(packed.n_levels(), f32_planes.n_levels());
+        let plan32 = a.plan(Precision::F32).unwrap();
+        let codes = a.plan(Precision::Codes).unwrap();
         let queries: Vec<Vec<u8>> = (0..9)
             .map(|i| (0..6).map(|c| ((i * 7 + c) % 8) as u8).collect())
             .collect();
@@ -2777,29 +2475,31 @@ mod tests {
             .build();
         varied.store(&[1, 2, 3, 4]).unwrap();
         assert!(matches!(
-            CompiledCodes::compile(&varied),
+            CompiledCodes::compile(&varied, Metric::default()),
             Err(CoreError::PerCellBank)
         ));
         // The cached dispatch falls back to planes instead of failing.
-        let dispatch = varied.compiled_codes().unwrap();
-        assert!(!dispatch.is_packed());
+        assert!(!codes_plan(&varied).is_packed());
         assert_eq!(
-            dispatch.search(&[1, 2, 3, 4]).unwrap().conductances(),
             varied
-                .compiled_f32()
+                .plan(Precision::Codes)
                 .unwrap()
+                .search(&[1, 2, 3, 4])
+                .unwrap()
+                .conductances(),
+            f32_plan(&varied)
                 .search(&[1, 2, 3, 4])
                 .unwrap()
                 .conductances(),
         );
         let empty = McamArray::new(ladder, lut, 4);
         assert!(matches!(
-            CompiledCodes::compile(&empty),
+            CompiledCodes::compile(&empty, Metric::default()),
             Err(CoreError::EmptyArray)
         ));
         // Validation mirrors the plane plans.
         let a = array_with_rows(3, &[vec![1, 2, 3]]);
-        let codes = CompiledCodes::compile(&a).unwrap();
+        let codes = CompiledCodes::compile(&a, Metric::default()).unwrap();
         assert!(matches!(
             codes.search(&[1, 2]),
             Err(CoreError::WordLengthMismatch {
@@ -2820,9 +2520,9 @@ mod tests {
             .collect();
         let mut a = array_with_rows(8, &rows);
         assert_eq!(a.plan_memory_bytes().total(), 0, "cold cache holds nothing");
-        let p64 = a.compiled().unwrap();
-        let p32 = a.compiled_f32().unwrap();
-        let codes = a.compiled_codes().unwrap();
+        let p64 = f64_plan(&a);
+        let p32 = f32_plan(&a);
+        let codes = codes_plan(&a);
         assert!(codes.is_packed());
         // Exact byte formulas: planes are n_levels*wl*rows scalars,
         // codes are wl*rows bytes plus the padded f32 LUT.
@@ -2841,7 +2541,7 @@ mod tests {
         );
         // The codes slot caches (same engine back) and invalidates on
         // store like the plane slots.
-        let codes2 = a.compiled_codes().unwrap();
+        let codes2 = codes_plan(&a);
         match (&codes, &codes2) {
             (CodesDispatch::Packed(x), CodesDispatch::Packed(y)) => {
                 assert!(Arc::ptr_eq(x, y), "cache must return the same codes plan");
@@ -2854,8 +2554,7 @@ mod tests {
             0,
             "store must clear all slots"
         );
-        let codes3 = a.compiled_codes().unwrap();
-        assert_eq!(codes3.n_rows(), 65);
+        assert_eq!(BlockKernel::n_rows(&codes_plan(&a)), 65);
     }
 
     #[test]
@@ -2866,7 +2565,7 @@ mod tests {
         assert_eq!(CODES_COMPILE_THRESHOLD, 1);
         let a = array_with_rows(2, &[vec![0, 0], vec![7, 7]]);
         assert_eq!(a.plan_memory_bytes().codes, 0);
-        let _ = a.search_with(&[0, 0], Precision::Codes).unwrap();
+        a.search_batch_with(&[&[0, 0]], Precision::Codes).unwrap();
         assert!(
             a.plan_memory_bytes().codes > 0,
             "lone query must compile the codes plan"

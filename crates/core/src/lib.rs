@@ -14,7 +14,7 @@
 //! * [`lut`] — the 2-D conductance lookup table `F(I, S) = G`, the
 //!   paper's own simulation vehicle, plus the Fig. 4 distance-function
 //!   curves and their derivative.
-//! * [`array`] — MCAM arrays with match-line RC discharge, sense-amp
+//! * [`array`](mod@array) — MCAM arrays with match-line RC discharge, sense-amp
 //!   winner-take-all, and optional per-cell `Vth` variation.
 //! * [`exec`] / [`par`] — the compiled, batched query executor:
 //!   plane-major conductance plans (precision-generic: `f64` reference
@@ -92,8 +92,8 @@ pub use distance::{Cosine, Distance, DistanceKind, Euclidean, Linf, Manhattan, M
 pub use engines::{accuracy, classify_knn, McamNn, NnIndex, QueryResult, SoftwareNn, TcamLshNn};
 pub use error::CoreError;
 pub use exec::{
-    top_k_indices, CodesDispatch, CompiledBanked, CompiledBankedCodes, CompiledCodes, CompiledMcam,
-    Metric, PlanCache, PlanMemoryBytes, PlaneScalar, Precision, N_METRICS,
+    top_k_indices, CodesDispatch, CompiledCodes, CompiledMcam, Metric, Plan, PlanCache,
+    PlanMemoryBytes, PlaneScalar, Precision, SearchSpec, N_METRICS,
 };
 pub use experiment::{measured_lut, ExperimentConfig};
 pub use levels::LevelLadder;

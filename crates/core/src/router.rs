@@ -3,8 +3,10 @@
 //!
 //! A full-sweep search costs O(rows) per query no matter how large the
 //! memory grows, so node capacity is capped by compute even though
-//! packed-code plans ([`Precision::Codes`]) keep tens of millions of
-//! rows resident. Two-stage retrieval restores memory-bound capacity:
+//! packed-code plans
+//! ([`Precision::Codes`](crate::exec::Precision::Codes)) keep tens of
+//! millions of rows resident. Two-stage retrieval restores memory-bound
+//! capacity:
 //!
 //! 1. **Route** — an [`LshRouter`] hashes the query word through the
 //!    SimHash machinery of `femcam-lsh` ([`RandomHyperplanes`]) and
@@ -52,7 +54,7 @@ use femcam_lsh::RandomHyperplanes;
 
 use crate::banked::BankedMcam;
 use crate::error::CoreError;
-use crate::exec::{self, Metric, Precision};
+use crate::exec::{self, SearchSpec};
 use crate::levels::LevelLadder;
 use crate::lut::ConductanceLut;
 use crate::par;
@@ -468,38 +470,6 @@ impl RoutedMcam {
         Ok(banks)
     }
 
-    /// Routed single-query search: exact winner within the routed
-    /// banks as `(global_row, total_conductance)`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BankedMcam::search_masked_with`].
-    pub fn search_with(&self, query: &[u8], precision: Precision) -> Result<(usize, f64)> {
-        self.search_with_metric(query, precision, Metric::default())
-    }
-
-    /// [`search_with`](Self::search_with) at a chosen [`Metric`]: the
-    /// route is metric-agnostic (SimHash buckets depend only on the
-    /// stored words), while the exact re-rank inside the routed banks
-    /// honors the request metric.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BankedMcam::search_masked_with`].
-    pub fn search_with_metric(
-        &self,
-        query: &[u8],
-        precision: Precision,
-        metric: Metric,
-    ) -> Result<(usize, f64)> {
-        if self.memory.is_empty() {
-            return Err(CoreError::EmptyArray);
-        }
-        let banks = self.route(query)?;
-        self.memory
-            .search_masked_with_metric(query, precision, metric, &banks)
-    }
-
     /// Routes every query, then executes the re-rank **bank-major**:
     /// per bank, one batched sweep over every query routed to it, then
     /// a per-query fold of the per-bank winners in ascending bank
@@ -514,9 +484,11 @@ impl RoutedMcam {
     /// Results come back in query order. Per query, the winner is
     /// bit-identical to a masked sweep of its routed banks
     /// ([`BankedMcam::search_batch_winners_masked`]): within a bank the
-    /// same compiled plan produces the same conductances, and the fold
-    /// here is the kernel's own merge — ascending bank order, strict
-    /// `<` on conductance, so exact ties keep the lowest global row.
+    /// same compiled plan produces the same scores, and the fold here
+    /// is the kernel's own merge — ascending bank order, strict `<` on
+    /// score, so exact ties keep the lowest global row. The route is
+    /// metric-agnostic (SimHash buckets depend only on the stored
+    /// words); the re-rank honors the spec's metric.
     ///
     /// # Errors
     ///
@@ -525,25 +497,9 @@ impl RoutedMcam {
     pub fn search_batch_winners_with(
         &self,
         queries: &[&[u8]],
-        precision: Precision,
+        spec: impl Into<SearchSpec>,
     ) -> Result<Vec<(usize, f64)>> {
-        self.search_batch_winners_with_metric(queries, precision, Metric::default())
-    }
-
-    /// [`search_batch_winners_with`](Self::search_batch_winners_with)
-    /// at a chosen [`Metric`] — routing stays metric-agnostic, the
-    /// bank-major re-rank honors the request metric.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BankedMcam::search_batch_winners_masked`];
-    /// the lowest-indexed failing query fails the batch.
-    pub fn search_batch_winners_with_metric(
-        &self,
-        queries: &[&[u8]],
-        precision: Precision,
-        metric: Metric,
-    ) -> Result<Vec<(usize, f64)>> {
+        let spec = spec.into();
         if self.memory.is_empty() {
             return Err(CoreError::EmptyArray);
         }
@@ -563,8 +519,7 @@ impl RoutedMcam {
         let share = (par::max_threads() / touched.len().max(1)).max(1);
         let per_bank_winners = par::try_par_map(&touched, par::max_threads(), |_, &b| {
             let group: Vec<&[u8]> = per_bank[b].iter().map(|&i| queries[i]).collect();
-            self.memory
-                .search_batch_winners_masked_threads(&group, precision, metric, &[b], share)
+            self.memory.winners_masked(&group, spec, &[b], share)
         })?;
         let mut out: Vec<Option<(usize, f64)>> = vec![None; queries.len()];
         for (&b, winners) in touched.iter().zip(per_bank_winners) {
@@ -595,24 +550,9 @@ impl RoutedMcam {
         &self,
         queries: &[&[u8]],
         k: usize,
-        precision: Precision,
+        spec: impl Into<SearchSpec>,
     ) -> Result<Vec<Vec<(usize, f64)>>> {
-        self.search_batch_top_k_with_metric(queries, k, precision, Metric::default())
-    }
-
-    /// [`search_batch_top_k_with`](Self::search_batch_top_k_with) at a
-    /// chosen [`Metric`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BankedMcam::search_batch_top_k_masked`].
-    pub fn search_batch_top_k_with_metric(
-        &self,
-        queries: &[&[u8]],
-        k: usize,
-        precision: Precision,
-        metric: Metric,
-    ) -> Result<Vec<Vec<(usize, f64)>>> {
+        let spec = spec.into();
         if self.memory.is_empty() {
             return Err(CoreError::EmptyArray);
         }
@@ -620,7 +560,7 @@ impl RoutedMcam {
         let per_group = par::try_par_map(&groups, par::max_threads(), |_, (banks, idxs)| {
             let group: Vec<&[u8]> = idxs.iter().map(|&i| queries[i]).collect();
             self.memory
-                .search_batch_top_k_masked_metric(&group, k, precision, metric, banks)
+                .search_batch_top_k_masked(&group, k, spec, banks)
         })?;
         let mut out = vec![Vec::new(); queries.len()];
         for ((_, idxs), hits) in groups.iter().zip(per_group) {
@@ -672,6 +612,7 @@ impl RoutedMcam {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Precision;
     use femcam_device::FefetModel;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -803,11 +744,15 @@ mod tests {
             words.push(word);
             // Every stored word remains exactly findable: routed search
             // agrees with the full sweep on exact-match queries.
-            for w in &words {
-                let routed_hit = routed.search_with(w, Precision::Codes).unwrap();
-                let full = routed.memory().search_with(w, Precision::Codes).unwrap();
-                assert_eq!(routed_hit, full);
-            }
+            let refs: Vec<&[u8]> = words.iter().map(Vec::as_slice).collect();
+            let routed_hits = routed
+                .search_batch_winners_with(&refs, Precision::Codes)
+                .unwrap();
+            let full = routed
+                .memory()
+                .search_batch_winners_with(&refs, Precision::Codes)
+                .unwrap();
+            assert_eq!(routed_hits, full);
         }
     }
 
@@ -838,7 +783,7 @@ mod tests {
         let routed =
             RoutedMcam::new(BankedMcam::new(ladder, lut, 8, 4), RouterConfig::default()).unwrap();
         assert!(matches!(
-            routed.search_with(&[0; 8], Precision::Codes),
+            routed.search_batch_winners_with(&[&[0; 8]], Precision::Codes),
             Err(CoreError::EmptyArray)
         ));
         assert!(matches!(
@@ -867,7 +812,12 @@ mod tests {
         for precision in [Precision::F64, Precision::F32, Precision::Codes] {
             let batch = routed.search_batch_winners_with(&refs, precision).unwrap();
             for (q, &w) in refs.iter().zip(&batch) {
-                assert_eq!(w, routed.search_with(q, precision).unwrap());
+                let banks = routed.route(q).unwrap();
+                let solo = routed
+                    .memory()
+                    .search_batch_winners_masked(&[q], precision, &banks)
+                    .unwrap();
+                assert_eq!(w, solo[0]);
             }
             let topk = routed.search_batch_top_k_with(&refs, 3, precision).unwrap();
             for (q, hits) in refs.iter().zip(&topk) {

@@ -32,13 +32,12 @@ pub use femcam_serve as serve;
 /// Commonly used items from across the workspace.
 pub mod prelude {
     pub use femcam_core::{
-        accuracy, top_k_indices, AcamArray, AcamCell, BankedMcam, CodesDispatch, CompiledBanked,
-        CompiledBankedCodes, CompiledCodes, CompiledMcam, ConductanceLut, CoreError, Cosine,
-        Distance, DistanceKind, Euclidean, LevelLadder, Linf, LshRouter, McamArray,
-        McamArrayBuilder, McamCell, McamNn, McamSoftware, Metric, MlTiming, NnIndex,
-        PlanMemoryBytes, PlaneScalar, Precision, QuantizeStrategy, Quantizer, RoutedMcam,
-        RouterConfig, SearchOutcome, SenseAmp, SoftwareNn, TcamArray, TcamLshNn, Ternary,
-        VariationSpec, N_METRICS,
+        accuracy, top_k_indices, AcamArray, AcamCell, BankedMcam, CodesDispatch, CompiledCodes,
+        CompiledMcam, ConductanceLut, CoreError, Cosine, Distance, DistanceKind, Euclidean,
+        LevelLadder, Linf, LshRouter, McamArray, McamArrayBuilder, McamCell, McamNn, McamSoftware,
+        Metric, MlTiming, NnIndex, Plan, PlanMemoryBytes, PlaneScalar, Precision, QuantizeStrategy,
+        Quantizer, RoutedMcam, RouterConfig, SearchOutcome, SearchSpec, SenseAmp, SoftwareNn,
+        TcamArray, TcamLshNn, Ternary, VariationSpec, N_METRICS,
     };
     pub use femcam_data::{
         synth, ClassFeatureSource, Dataset, GlyphClass, GlyphRenderer, PrototypeFeatureModel,

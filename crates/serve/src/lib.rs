@@ -82,7 +82,7 @@
 //! banks (see `femcam_core::router`'s accuracy model).
 //!
 //! **Determinism contract.** Per-request results are **bit-identical**
-//! to calling [`BankedMcam::search_with`] directly at the same
+//! to calling [`BankedMcam::search_batch_winners_with`] directly at the same
 //! precision against the same contents — regardless of which
 //! micro-batch a request lands in, how large that batch is, or how
 //! many worker threads execute it. This is inherited from the
@@ -111,7 +111,7 @@
 //!   shard and merge by ascending `(conductance, global_row)` — the
 //!   exact order the banked merge already pins, so sharded results are
 //!   bit-identical to a single-dispatcher server and to a direct
-//!   [`BankedMcam::search_with`] / [`BankedMcam::search_top_k_with`]
+//!   [`BankedMcam::search_batch_winners_with`] / [`BankedMcam::search_batch_top_k_with`]
 //!   over the unpartitioned memory. Stores route *only* to the shard
 //!   that owns the append tail (global rows are assigned densely, so
 //!   exactly one shard ever grows).
@@ -170,7 +170,7 @@
 //!   [`ServingTicket::wait_covered`], and
 //!   [`ServedNn::query_with_coverage`]. A degraded answer is the
 //!   *exact* merge over `Coverage::banks` (checkable against
-//!   [`BankedMcam::search_masked_with`]). The policy knob
+//!   [`BankedMcam::search_batch_winners_masked`]). The policy knob
 //!   [`ServeConfig::degraded_policy`] picks fail-open (default:
 //!   return the partial answer with its coverage) or fail-closed
 //!   (reject with [`ServeError::Degraded`]). Routed searches whose
@@ -325,7 +325,8 @@ use std::time::{Duration, Instant};
 
 use femcam_core::exec::validate_query;
 use femcam_core::{
-    par, BankedMcam, CoreError, Metric, PlanMemoryBytes, Precision, RoutedMcam, N_METRICS,
+    par, BankedMcam, CoreError, Metric, PlanMemoryBytes, Precision, RoutedMcam, SearchSpec,
+    N_METRICS,
 };
 
 use health::RestartBreaker;
@@ -857,7 +858,7 @@ impl ServeHandle {
 
     /// [`submit_with_metric`](Self::submit_with_metric), blocking for
     /// the winner — bit-identical to
-    /// [`BankedMcam::search_with_metric`] at the server's precision
+    /// [`BankedMcam::search_batch_winners_with`] at the server's precision
     /// against the contents visible at execution time.
     ///
     /// # Errors
@@ -1036,7 +1037,7 @@ impl ServeHandle {
 
     /// Submits one query and blocks until its
     /// `(global_row, total_conductance)` winner arrives —
-    /// bit-identical to [`BankedMcam::search_with`] at the server's
+    /// bit-identical to [`BankedMcam::search_batch_winners_with`] at the server's
     /// precision against the contents visible at execution time.
     ///
     /// # Errors
@@ -1080,7 +1081,7 @@ impl ServeHandle {
     /// The `k` nearest rows under a chosen per-request [`Metric`],
     /// nearest first — blocking face of
     /// [`submit_top_k_with_metric`](Self::submit_top_k_with_metric),
-    /// bit-identical to [`BankedMcam::search_top_k_with_metric`] at
+    /// bit-identical to [`BankedMcam::search_batch_top_k_with`] at
     /// the server's precision against the contents visible at
     /// execution time.
     ///
@@ -1158,7 +1159,7 @@ impl ServeHandle {
 
     /// The `k` nearest rows for one query, nearest first — blocking
     /// face of [`submit_top_k`](Self::submit_top_k), bit-identical to
-    /// [`BankedMcam::search_top_k_with`] at the server's precision
+    /// [`BankedMcam::search_batch_top_k_with`] at the server's precision
     /// against the contents visible at execution time.
     ///
     /// # Errors
@@ -1311,14 +1312,11 @@ impl ServeMemory {
     fn search_batch_winners_with(
         &self,
         queries: &[&[u8]],
-        precision: Precision,
-        metric: Metric,
+        spec: SearchSpec,
     ) -> femcam_core::Result<Vec<(usize, f64)>> {
         match self {
-            ServeMemory::Plain(m) => m.search_batch_winners_with_metric(queries, precision, metric),
-            ServeMemory::Routed(r) => {
-                r.search_batch_winners_with_metric(queries, precision, metric)
-            }
+            ServeMemory::Plain(m) => m.search_batch_winners_with(queries, spec),
+            ServeMemory::Routed(r) => r.search_batch_winners_with(queries, spec),
         }
     }
 
@@ -1326,16 +1324,11 @@ impl ServeMemory {
         &self,
         queries: &[&[u8]],
         k: usize,
-        precision: Precision,
-        metric: Metric,
+        spec: SearchSpec,
     ) -> femcam_core::Result<Vec<Vec<(usize, f64)>>> {
         match self {
-            ServeMemory::Plain(m) => {
-                m.search_batch_top_k_with_metric(queries, k, precision, metric)
-            }
-            ServeMemory::Routed(r) => {
-                r.search_batch_top_k_with_metric(queries, k, precision, metric)
-            }
+            ServeMemory::Plain(m) => m.search_batch_top_k_with(queries, k, spec),
+            ServeMemory::Routed(r) => r.search_batch_top_k_with(queries, k, spec),
         }
     }
 }
@@ -1883,8 +1876,8 @@ fn execute_window(
                 continue;
             }
             let queries: Vec<&[u8]> = group.iter().map(|s| s.query.as_slice()).collect();
-            winners[metric.index()] =
-                Some(memory.search_batch_winners_with(&queries, precision, metric));
+            let spec = SearchSpec { precision, metric };
+            winners[metric.index()] = Some(memory.search_batch_winners_with(&queries, spec));
         }
         let mut topk_hits: TopKSweeps = Default::default();
         for metric in Metric::ALL {
@@ -1894,8 +1887,8 @@ fn execute_window(
             }
             let k_max = group.iter().map(|t| t.k).max().unwrap_or(0);
             let queries: Vec<&[u8]> = group.iter().map(|t| t.query.as_slice()).collect();
-            topk_hits[metric.index()] =
-                Some(memory.search_batch_top_k_with(&queries, k_max, precision, metric));
+            let spec = SearchSpec { precision, metric };
+            topk_hits[metric.index()] = Some(memory.search_batch_top_k_with(&queries, k_max, spec));
         }
         #[cfg(feature = "chaos")]
         inject(shared, fault::FaultSite::PostBatch);
@@ -1999,6 +1992,21 @@ mod tests {
         memory
     }
 
+    /// The direct (unserved) `f64` winner for one query.
+    fn direct_winner(memory: &BankedMcam, query: &[u8]) -> (usize, f64) {
+        memory
+            .search_batch_winners_with(&[query], Precision::F64)
+            .unwrap()[0]
+    }
+
+    /// The direct (unserved) `f64` top-k for one query.
+    fn direct_top_k(memory: &BankedMcam, query: &[u8], k: usize) -> Vec<(usize, f64)> {
+        memory
+            .search_batch_top_k_with(&[query], k, Precision::F64)
+            .unwrap()
+            .remove(0)
+    }
+
     #[test]
     fn served_search_matches_direct_search() {
         let rows = [[0u8, 1, 2, 3], [7, 7, 7, 7], [1, 1, 2, 3], [4, 4, 4, 4]];
@@ -2007,7 +2015,7 @@ mod tests {
         let server = McamServer::start(memory, ServeConfig::default());
         let handle = server.handle();
         for q in [[0u8, 1, 2, 3], [4, 4, 4, 5], [1, 1, 2, 2]] {
-            assert_eq!(handle.search(&q).unwrap(), direct.search(&q).unwrap());
+            assert_eq!(handle.search(&q).unwrap(), direct_winner(&direct, &q));
         }
         let stats = server.stats();
         assert_eq!(stats.queries, 3);
@@ -2263,13 +2271,13 @@ mod tests {
             .map(|(i, q)| handle.submit_top_k(q, i + 1).unwrap())
             .collect();
         for (q, t) in queries.iter().zip(winner_tickets) {
-            let direct_hit = direct.search(q).unwrap();
+            let direct_hit = direct_winner(&direct, q);
             let got = t.wait().unwrap();
             assert_eq!(got.0, direct_hit.0);
             assert_eq!(got.1.to_bits(), direct_hit.1.to_bits());
         }
         for (i, (q, t)) in queries.iter().zip(topk_tickets).enumerate() {
-            let want = direct.search_top_k_with(q, i + 1, Precision::F64).unwrap();
+            let want = direct_top_k(&direct, q, i + 1);
             assert_eq!(t.wait().unwrap(), want);
         }
         let stats = server.stats();

@@ -90,7 +90,7 @@ impl Backoff {
 /// owned by a dispatcher thread: queries submitted back-to-back (or by
 /// concurrent clones of the [`handle`](Self::handle)) coalesce into
 /// micro-batches, and results stay bit-identical to a direct
-/// [`BankedMcam::search_with`] at the configured precision.
+/// [`BankedMcam::search_batch_winners_with`] at the configured precision.
 ///
 /// `k`-nearest queries follow the uniform [`NnIndex::query_k`] clamp
 /// contract via the server's top-k endpoint.

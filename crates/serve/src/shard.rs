@@ -727,7 +727,10 @@ fn try_readmit_shard(
     let suite = canary_suite(&memory);
     let oracle: Vec<Vec<(usize, f64)>> = match suite
         .iter()
-        .map(|c| memory.search_top_k_with(&c.query, c.k, config.precision))
+        .map(|c| {
+            let mut hits = memory.search_batch_top_k_with(&[&c.query], c.k, config.precision)?;
+            Ok(hits.swap_remove(0))
+        })
         .collect()
     {
         Ok(oracle) => oracle,
@@ -840,7 +843,7 @@ impl ShardedHandle {
     /// every contacted shard answers under `metric` semantics, and the
     /// merge order (ascending distance, exact ties to the lowest
     /// global row) is metric-independent, so the merged winner is
-    /// bit-identical to [`BankedMcam::search_with_metric`] over the
+    /// bit-identical to [`BankedMcam::search_batch_winners_with`] over the
     /// unpartitioned memory. Routing (when present) stays
     /// metric-agnostic — only the shard sweeps honor the metric.
     ///
@@ -1144,7 +1147,7 @@ impl ShardedHandle {
 
     /// Submits one query to every shard and blocks for the merged
     /// `(global_row, total_conductance)` winner — bit-identical to
-    /// [`BankedMcam::search_with`] over the unpartitioned memory at
+    /// [`BankedMcam::search_batch_winners_with`] over the unpartitioned memory at
     /// the shards' precision.
     ///
     /// # Errors
@@ -1174,7 +1177,7 @@ impl ShardedHandle {
     /// Submits one top-k query to every shard without blocking; the
     /// returned [`ShardTopKTicket`] merges the per-shard candidate
     /// lists by ascending `(conductance, global_row)` and truncates to
-    /// `k` — bit-identical to [`BankedMcam::search_top_k_with`] over
+    /// `k` — bit-identical to [`BankedMcam::search_batch_top_k_with`] over
     /// the unpartitioned memory. `k` is clamped, never an error.
     ///
     /// # Errors
@@ -1930,6 +1933,21 @@ mod tests {
         memory
     }
 
+    /// The direct (unserved) `f64` winner for one query.
+    fn direct_winner(memory: &BankedMcam, query: &[u8]) -> (usize, f64) {
+        memory
+            .search_batch_winners_with(&[query], Precision::F64)
+            .unwrap()[0]
+    }
+
+    /// The direct (unserved) `f64` top-k for one query.
+    fn direct_top_k(memory: &BankedMcam, query: &[u8], k: usize) -> Vec<(usize, f64)> {
+        memory
+            .search_batch_top_k_with(&[query], k, Precision::F64)
+            .unwrap()
+            .remove(0)
+    }
+
     #[test]
     fn sharded_results_match_direct_search() {
         let rows = [
@@ -1947,11 +1965,11 @@ mod tests {
             let handle = server.handle();
             for q in [[0u8, 1, 2, 3], [4, 4, 4, 5], [1, 1, 2, 2], [7, 7, 7, 6]] {
                 let (row, g) = handle.search(&q).unwrap();
-                let (drow, dg) = direct.search(&q).unwrap();
+                let (drow, dg) = direct_winner(&direct, &q);
                 assert_eq!(row, drow, "{shards} shards");
                 assert_eq!(g.to_bits(), dg.to_bits(), "{shards} shards");
                 let top = handle.search_top_k(&q, 3).unwrap();
-                let dtop = direct.search_top_k_with(&q, 3, Precision::F64).unwrap();
+                let dtop = direct_top_k(&direct, &q, 3);
                 assert_eq!(top, dtop, "{shards} shards top-k");
             }
             let stats = server.stats();
@@ -1988,9 +2006,7 @@ mod tests {
         );
         // Every canary must be answerable by the direct sweep.
         for c in &suite {
-            memory
-                .search_top_k_with(&c.query, c.k, Precision::F64)
-                .unwrap();
+            direct_top_k(&memory, &c.query, c.k);
         }
     }
 
@@ -2011,11 +2027,7 @@ mod tests {
         let suite = canary_suite(&memory);
         let oracle: Vec<Vec<(usize, f64)>> = suite
             .iter()
-            .map(|c| {
-                memory
-                    .search_top_k_with(&c.query, c.k, Precision::F64)
-                    .unwrap()
-            })
+            .map(|c| direct_top_k(&memory, &c.query, c.k))
             .collect();
         // The honest replay passes.
         assert!(canaries_pass(&oracle, &oracle.clone()));
@@ -2062,7 +2074,7 @@ mod tests {
             assert_eq!(got, want);
             // The store is visible to the very next merged search.
             let (row, g) = handle.search(&word).unwrap();
-            let (drow, dg) = shadow.search(&word).unwrap();
+            let (drow, dg) = direct_winner(&shadow, &word);
             assert_eq!(row, drow);
             assert_eq!(g.to_bits(), dg.to_bits());
         }
@@ -2148,7 +2160,7 @@ mod tests {
             // full sweep for every stored word.
             for (row, word) in rows.iter().enumerate() {
                 let (got, g) = handle.search(word).unwrap();
-                let (want, wg) = shadow.search(word).unwrap();
+                let (want, wg) = direct_winner(&shadow, word);
                 assert_eq!((got, g.to_bits()), (want, wg.to_bits()), "{shards} shards");
                 assert_eq!(got, row);
             }

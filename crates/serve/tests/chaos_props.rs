@@ -11,7 +11,7 @@
 //!    the memory.
 //! 3. **Degraded answers are exact over their coverage** — a merge
 //!    that lost a shard reports exactly which banks contributed, and
-//!    the answer equals [`BankedMcam::search_masked_with`] over that
+//!    the answer equals [`BankedMcam::search_batch_winners_masked`] over that
 //!    subset, bitwise.
 //! 4. **Terminal failure is clean** — a tripped restart breaker stops
 //!    the crash-loop, rejects new work with `DispatcherFailed`, and
@@ -171,7 +171,9 @@ fn dispatcher_heals_and_post_heal_results_are_bit_identical() {
     for salt in 0..8 {
         let query = gen_word(41, salt);
         let (row, score) = handle.search(&query).expect("post-heal search");
-        let (want_row, want_score) = shadow.search_with(&query, Precision::F64).expect("oracle");
+        let (want_row, want_score) = shadow
+            .search_batch_winners_with(&[&query[..]], Precision::F64)
+            .expect("oracle")[0];
         assert_eq!(row, want_row);
         assert_eq!(score.to_bits(), want_score.to_bits(), "salt {salt}");
     }
@@ -299,8 +301,8 @@ fn quarantined_shard_yields_exact_masked_coverage() {
         assert_eq!(covered.coverage.total, 4);
         assert_eq!(covered.coverage.banks, vec![0, 1]);
         let (want_row, want_score) = shadow
-            .search_masked_with(&query, Precision::F64, &covered.coverage.banks)
-            .expect("masked oracle");
+            .search_batch_winners_masked(&[&query[..]], Precision::F64, &covered.coverage.banks)
+            .expect("masked oracle")[0];
         let (row, score) = covered.value;
         assert_eq!(row, want_row, "salt {salt}");
         assert_eq!(score.to_bits(), want_score.to_bits(), "salt {salt}");
@@ -373,8 +375,8 @@ fn delayed_shard_times_out_into_degraded_coverage() {
     assert_eq!(covered.coverage.searched, 2);
     assert_eq!(covered.coverage.total, 4);
     let (want_row, want_score) = shadow
-        .search_masked_with(&query, Precision::F64, &covered.coverage.banks)
-        .expect("masked oracle");
+        .search_batch_winners_masked(&[&query[..]], Precision::F64, &covered.coverage.banks)
+        .expect("masked oracle")[0];
     assert_eq!(covered.value.0, want_row);
     assert_eq!(covered.value.1.to_bits(), want_score.to_bits());
     let health = handle.shard_health();
@@ -428,7 +430,9 @@ fn poisoned_router_degrades_to_full_fan_out() {
     for salt in 0..8 {
         let query = gen_word(59, salt);
         let (row, score) = handle.search(&query).expect("poisoned route degrades");
-        let (want_row, want_score) = shadow.search_with(&query, Precision::F64).expect("oracle");
+        let (want_row, want_score) = shadow
+            .search_batch_winners_with(&[&query[..]], Precision::F64)
+            .expect("oracle")[0];
         assert_eq!(row, want_row, "salt {salt}");
         assert_eq!(score.to_bits(), want_score.to_bits(), "salt {salt}");
     }
@@ -439,7 +443,9 @@ fn poisoned_router_degrades_to_full_fan_out() {
     assert_eq!(handle.store(&word).expect("store past poison"), 8);
     shadow.store(&word).expect("shadow store");
     let (row, _) = handle.search(&word).expect("new row reachable");
-    let (want_row, _) = shadow.search_with(&word, Precision::F64).expect("oracle");
+    let (want_row, _) = shadow
+        .search_batch_winners_with(&[&word[..]], Precision::F64)
+        .expect("oracle")[0];
     assert_eq!(row, want_row);
     let recovered = server.shutdown().expect("clean shutdown");
     assert_eq!(recovered.n_rows(), 9);
@@ -589,7 +595,9 @@ fn probe_and_readmit_faults_fail_closed_then_retry_succeeds() {
             .wait_covered()
             .expect("full merge");
         assert!(!covered.coverage.degraded(), "row {row}");
-        let (want_row, want_g) = shadow.search_with(&query, Precision::F64).expect("oracle");
+        let (want_row, want_g) = shadow
+            .search_batch_winners_with(&[&query[..]], Precision::F64)
+            .expect("oracle")[0];
         assert_eq!(covered.value.0, want_row, "row {row}");
         assert_eq!(covered.value.1.to_bits(), want_g.to_bits(), "row {row}");
     }
@@ -670,8 +678,12 @@ fn quarantine_storm_scenario(seed: u64) {
                                 "client {c}: coverage counts must match its bank list"
                             );
                             let (want_row, want_g) = oracle
-                                .search_masked_with(&query, Precision::F64, &covered.coverage.banks)
-                                .expect("masked oracle");
+                                .search_batch_winners_masked(
+                                    &[&query[..]],
+                                    Precision::F64,
+                                    &covered.coverage.banks,
+                                )
+                                .expect("masked oracle")[0];
                             assert_eq!(covered.value.0, want_row, "client {c}");
                             assert_eq!(
                                 covered.value.1.to_bits(),
@@ -734,7 +746,9 @@ fn quarantine_storm_scenario(seed: u64) {
             .wait_covered()
             .expect("post-storm merge");
         assert!(!covered.coverage.degraded(), "salt {salt}");
-        let (want_row, want_g) = oracle.search_with(&query, Precision::F64).expect("oracle");
+        let (want_row, want_g) = oracle
+            .search_batch_winners_with(&[&query[..]], Precision::F64)
+            .expect("oracle")[0];
         assert_eq!(covered.value.0, want_row, "salt {salt}");
         assert_eq!(covered.value.1.to_bits(), want_g.to_bits(), "salt {salt}");
     }
@@ -847,7 +861,9 @@ fn store_readmit_race_scenario(seed: u64) {
             .wait_covered()
             .expect("full merge after re-admit");
         assert!(!covered.coverage.degraded(), "row {row}");
-        let (want_row, want_g) = shadow.search_with(&query, Precision::F64).expect("oracle");
+        let (want_row, want_g) = shadow
+            .search_batch_winners_with(&[&query[..]], Precision::F64)
+            .expect("oracle")[0];
         assert_eq!(covered.value.0, want_row, "row {row}");
         assert_eq!(covered.value.1.to_bits(), want_g.to_bits(), "row {row}");
     }

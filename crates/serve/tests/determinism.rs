@@ -1,7 +1,7 @@
 //! The serving layer's determinism contract, pinned as properties:
 //!
 //! 1. **Bit-identity** — every served result equals a direct
-//!    [`BankedMcam::search_with`] at the same precision against an
+//!    [`BankedMcam::search_batch_winners_with`] at the same precision against an
 //!    identically mutated shadow memory: same winning global row, same
 //!    `f64` conductance, bitwise. This holds regardless of which
 //!    micro-batch a request lands in (batch composition is timing
@@ -83,7 +83,7 @@ proptest! {
                 prop_assert_eq!(served_row, shadow_row);
             } else {
                 let served = handle.search(&word).expect("served search");
-                let direct = shadow.search_with(&word, precision).expect("direct search");
+                let direct = shadow.search_batch_winners_with(&[&word[..]], precision).expect("direct search")[0];
                 prop_assert_eq!(served.0, direct.0, "winning row diverged");
                 prop_assert_eq!(
                     served.1.to_bits(),
@@ -140,7 +140,7 @@ proptest! {
             .collect();
         for (query, ticket) in queries.iter().zip(tickets) {
             let served = ticket.wait().expect("answered");
-            let direct = shadow.search_with(query, precision).expect("direct");
+            let direct = shadow.search_batch_winners_with(&[&query[..]], precision).expect("direct")[0];
             prop_assert_eq!(served.0, direct.0);
             prop_assert_eq!(served.1.to_bits(), direct.1.to_bits());
         }

@@ -4,12 +4,12 @@
 //! 1. **Three-way bit-identity** — every winner served by a
 //!    [`ShardedServer`] equals both a single-dispatcher
 //!    [`McamServer`]'s answer and a direct
-//!    [`BankedMcam::search_with`] against an identically mutated
+//!    [`BankedMcam::search_batch_winners_with`] against an identically mutated
 //!    shadow memory: same winning global row, same `f64` conductance,
 //!    bitwise — at every precision, every shard count, and under
 //!    interleaved stores (which route to the tail shard only).
 //! 2. **Top-k merge identity** — the fanned, per-shard-truncated
-//!    top-k merge equals [`BankedMcam::search_top_k_with`] exactly
+//!    top-k merge equals [`BankedMcam::search_batch_top_k_with`] exactly
 //!    (order, rows, and conductance bits).
 //! 3. **Ties straddling shard boundaries** — duplicated rows placed in
 //!    different shards tie bit-for-bit, and the merged winner is the
@@ -98,7 +98,7 @@ proptest! {
             } else {
                 let a = sh.search(&word).expect("sharded search");
                 let b = sg.search(&word).expect("single search");
-                let c = shadow.search_with(&word, precision).expect("direct search");
+                let c = shadow.search_batch_winners_with(&[&word[..]], precision).expect("direct search")[0];
                 prop_assert_eq!(a.0, c.0, "sharded winner row");
                 prop_assert_eq!(b.0, c.0, "single winner row");
                 prop_assert_eq!(a.1.to_bits(), c.1.to_bits(), "sharded conductance");
@@ -141,8 +141,9 @@ proptest! {
             let query = gen_word(word_len, n_levels, seed ^ 0x7777, salt);
             let served = handle.search_top_k(&query, k).expect("sharded top-k");
             let direct = shadow
-                .search_top_k_with(&query, k, precision)
-                .expect("direct top-k");
+                .search_batch_top_k_with(&[&query[..]], k, precision)
+                .expect("direct top-k")
+                .remove(0);
             prop_assert_eq!(served.len(), direct.len());
             for (s, d) in served.iter().zip(&direct) {
                 prop_assert_eq!(s.0, d.0, "top-k row order");
@@ -187,7 +188,7 @@ proptest! {
         let sharded = ShardedServer::start(memory, n_shards, serve_config(precision));
         let handle = sharded.handle();
         let (row, g) = handle.search(&dup).expect("sharded search");
-        let (drow, dg) = shadow.search_with(&dup, precision).expect("direct");
+        let (drow, dg) = shadow.search_batch_winners_with(&[&dup[..]], precision).expect("direct")[0];
         prop_assert_eq!(row, expected, "tie must resolve to the lowest global row");
         prop_assert_eq!(drow, expected);
         prop_assert_eq!(g.to_bits(), dg.to_bits());
@@ -195,8 +196,9 @@ proptest! {
         // conductances, bit-identical to the direct merge.
         let served = handle.search_top_k(&dup, rows.len()).expect("top-k");
         let direct = shadow
-            .search_top_k_with(&dup, rows.len(), precision)
-            .expect("direct top-k");
+            .search_batch_top_k_with(&[&dup[..]], rows.len(), precision)
+            .expect("direct top-k")
+            .remove(0);
         prop_assert_eq!(&served, &direct);
         for w in served.windows(2) {
             if w[0].1.to_bits() == w[1].1.to_bits() {

@@ -89,9 +89,9 @@ fn main() -> femcam_core::Result<()> {
         .fold(0.0f32, |m, &v| m.max(v.abs()));
 
     // --- Evaluate both memories --------------------------------------
-    // The MCAM side batches the whole test set into one search_batch
-    // call: the array compiles a plane-major plan once and executes
-    // every query through the parallel executor.
+    // The MCAM side batches the whole test set into one
+    // search_batch_with call: the array compiles a plane-major plan
+    // once and executes every query through the parallel executor.
     let mut correct_tcam = 0usize;
     let mut mcam_queries: Vec<Vec<u8>> = Vec::with_capacity(test.len());
     for (f, &label) in test.features().iter().zip(test.labels()) {
@@ -105,11 +105,12 @@ fn main() -> femcam_core::Result<()> {
         let qvec: Vec<f32> = sig.iter().map(|b| if b { scale } else { -scale }).collect();
         mcam_queries.push(quantizer.quantize(&qvec)?);
     }
-    let outcomes = mcam.search_batch(mcam_queries.iter().map(|q| q.as_slice()))?;
-    let correct_mcam = outcomes
+    let refs: Vec<&[u8]> = mcam_queries.iter().map(Vec::as_slice).collect();
+    let winners = mcam.search_batch_winners_with(&refs, Precision::F64)?;
+    let correct_mcam = winners
         .iter()
         .zip(test.labels())
-        .filter(|(o, &l)| o.best_row() as u32 == l)
+        .filter(|(&(row, _), &l)| row as u32 == l)
         .count();
     let n = test.len() as f64;
     println!(

@@ -75,15 +75,19 @@ fn main() -> femcam_core::Result<()> {
         outcome.best_row()
     );
 
-    // 7. Batched execution: the array lazily compiles (and caches) a
-    //    plane-major plan and runs the query set through the parallel
-    //    executor — results are bit-identical to the scalar search
-    //    above, and the cached plan is reused until the next store.
+    // 7. Batched execution: every search entry point takes the query
+    //    batch plus a `SearchSpec` (precision and metric; a bare
+    //    `Precision` keeps the default metric). The array lazily
+    //    compiles (and caches) a plane-major plan and runs the query
+    //    set through the parallel executor — at `Precision::F64`
+    //    results are bit-identical to the scalar search above, and the
+    //    cached plan is reused until the next store.
     let levels: Vec<Vec<u8>> = vectors
         .iter()
         .map(|v| quantizer.quantize(v))
         .collect::<femcam_core::Result<_>>()?;
-    let outcomes = array.search_batch(levels.iter().map(|l| l.as_slice()))?;
+    let level_refs: Vec<&[u8]> = levels.iter().map(|l| l.as_slice()).collect();
+    let outcomes = array.search_batch_with(&level_refs, Precision::F64)?;
     println!();
     for (i, o) in outcomes.iter().enumerate() {
         println!("batched query {i} -> nearest row {}", o.best_row());
@@ -94,7 +98,6 @@ fn main() -> femcam_core::Result<()> {
     //    level code per cell plus the shared LUT in f32 — bit-identical
     //    to the f32 plane kernel on shared-LUT arrays like this one, at
     //    a fraction of the resident plan memory.
-    let level_refs: Vec<&[u8]> = levels.iter().map(|l| l.as_slice()).collect();
     let codes_outcomes = array.search_batch_with(&level_refs, Precision::Codes)?;
     let f32_outcomes = array.search_batch_with(&level_refs, Precision::F32)?;
     for (c, f) in codes_outcomes.iter().zip(&f32_outcomes) {
@@ -112,20 +115,22 @@ fn main() -> femcam_core::Result<()> {
         mem.codes,
     );
 
-    // 9. Runtime-reconfigurable distance: beside `Precision`, every
-    //    cached plan carries a `Metric`. Non-default metrics synthesize
+    // 9. Runtime-reconfigurable distance: the other half of a
+    //    `SearchSpec` is the `Metric`. Non-default metrics synthesize
     //    *distance-valued* tables from the level ladder (digital — they
     //    read stored level codes, so they are exact at every precision)
     //    and reuse the same compiled kernels; L-infinity swaps the sum
     //    fold for a max fold. Same array, no re-programming.
-    let probe = &level_refs[1];
+    let probe = &level_refs[1..2];
     for metric in Metric::ALL {
-        let o = array.search_with_metric(probe, Precision::Codes, metric)?;
+        let spec = SearchSpec {
+            precision: Precision::Codes,
+            metric,
+        };
+        let (row, score) = array.search_batch_winners_with(probe, spec)?[0];
         println!(
-            "metric {:>7}: nearest row {} (score {:.3e})",
-            metric.name(),
-            o.best_row(),
-            o.conductance(o.best_row())
+            "metric {:>7}: nearest row {row} (score {score:.3e})",
+            metric.name()
         );
     }
     //    The engine knob: `McamNn::set_metric` reconfigures a live
@@ -164,7 +169,7 @@ fn main() -> femcam_core::Result<()> {
         RoutedMcam::build(ladder2, lut2, 4, 2, RouterConfig::default(), &levels)?;
     let routed_query = quantizer.quantize(&query)?;
     let probed = routed.route(&routed_query)?;
-    let (global, g) = routed.search_with(&routed_query, Precision::Codes)?;
+    let (global, g) = routed.search_batch_winners_with(&[&routed_query], Precision::Codes)?[0];
     println!(
         "\nrouted: probed {} of {} banks, nearest input row {} (G_ML = {g:.3e} S)",
         probed.len(),

@@ -120,14 +120,15 @@ fn main() -> femcam_core::Result<()> {
         report.over_budget()
     );
 
-    // 7. Determinism: served results are bit-identical to direct
-    //    searches against an identically mutated memory.
+    // 7. Determinism: served results are bit-identical to one direct
+    //    batched search against an identically mutated memory.
     let handle = server.handle();
-    for _ in 0..32 {
-        let query = random_word(&mut rng);
-        let served = handle.search(&query).expect("served search");
-        let direct = shadow.search_with(&query, Precision::Codes)?;
-        assert_eq!(served, direct, "serving broke bit-identity");
+    let queries: Vec<Vec<u8>> = (0..32).map(|_| random_word(&mut rng)).collect();
+    let refs: Vec<&[u8]> = queries.iter().map(Vec::as_slice).collect();
+    let direct = shadow.search_batch_winners_with(&refs, Precision::Codes)?;
+    for (query, want) in queries.iter().zip(&direct) {
+        let served = handle.search(query).expect("served search");
+        assert_eq!(&served, want, "serving broke bit-identity");
     }
     println!("\ndeterminism check: 32 served results bit-identical to direct search");
 
@@ -150,11 +151,12 @@ fn main() -> femcam_core::Result<()> {
     );
     let shandle = sharded.handle();
     println!("\nsharded front end: {} shards", sharded.n_shards());
-    for _ in 0..32 {
-        let query = random_word(&mut rng);
-        let served = shandle.search(&query).expect("sharded search");
-        let direct = shadow.search_with(&query, Precision::Codes)?;
-        assert_eq!(served, direct, "sharding broke bit-identity");
+    let queries: Vec<Vec<u8>> = (0..32).map(|_| random_word(&mut rng)).collect();
+    let refs: Vec<&[u8]> = queries.iter().map(Vec::as_slice).collect();
+    let direct = shadow.search_batch_winners_with(&refs, Precision::Codes)?;
+    for (query, want) in queries.iter().zip(&direct) {
+        let served = shandle.search(query).expect("sharded search");
+        assert_eq!(&served, want, "sharding broke bit-identity");
     }
     let hot_word = random_word(&mut rng);
     let new_row = shandle.store(&hot_word).expect("sharded store");
@@ -168,7 +170,8 @@ fn main() -> femcam_core::Result<()> {
     let within = shandle
         .search_with_deadline(&query, Duration::from_millis(50))
         .expect("within budget");
-    assert_eq!(within, shadow.search_with(&query, Precision::Codes)?);
+    let direct = shadow.search_batch_winners_with(&[&query], Precision::Codes)?;
+    assert_eq!(within, direct[0]);
     let doa = shandle.search_with_deadline(&query, Duration::ZERO);
     assert!(matches!(doa, Err(ServeError::DeadlineExceeded { .. })));
     let merged = sharded.stats().merged();

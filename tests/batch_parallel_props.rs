@@ -70,7 +70,7 @@ proptest! {
             1 => varied_array(bits, word_len, &rows, 0.04, seed),
             _ => varied_array(bits, word_len, &rows, 0.12, seed ^ 0xABCD),
         };
-        let plan = array.compile().expect("compile");
+        let plan = array.plan(Precision::F64).expect("compile");
         for salt in [101usize, 202, 303] {
             let q = gen_word(salt);
             let scalar = array.search(&q).expect("scalar search");
@@ -93,7 +93,10 @@ proptest! {
         let rows: Vec<Vec<u8>> = rows.iter().map(|r| r[..word_len].to_vec()).collect();
         let queries: Vec<Vec<u8>> = queries.iter().map(|q| q[..word_len].to_vec()).collect();
         let array = nominal_array(3, word_len, &rows);
-        let plan = array.compile().expect("compile");
+        let plan = array.plan(Precision::F64).expect("compile");
+        let Plan::F64(planes) = &plan else {
+            panic!("f64 spec must hand out the f64 planes");
+        };
         let refs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
         let batched = plan.search_batch(&refs, threads).expect("batched");
         prop_assert_eq!(batched.len(), queries.len());
@@ -101,20 +104,21 @@ proptest! {
             let scalar = array.search(q).expect("scalar");
             prop_assert_eq!(scalar.conductances(), outcome.conductances());
             // Explicit row sharding at this thread count too.
-            let mut sharded = vec![0.0; plan.n_rows()];
-            plan.search_into(q, threads, &mut sharded).expect("sharded");
+            let mut sharded = vec![0.0; planes.n_rows()];
+            planes.search_into(q, threads, &mut sharded).expect("sharded");
             prop_assert_eq!(scalar.conductances(), &sharded[..]);
         }
         // The array-level batch front door agrees as well.
-        let front = array.search_batch(refs.iter().copied()).expect("front");
+        let front = array.search_batch_with(&refs, Precision::F64).expect("front");
         for (a, b) in front.iter().zip(&batched) {
             prop_assert_eq!(a.conductances(), b.conductances());
         }
     }
 
-    /// Banked search — parallel banks, compiled batch, any bank size —
-    /// always returns the flat scalar argmin row and its exact
-    /// conductance.
+    /// Banked search — the cold-cache scalar sweep (parallel banks),
+    /// the compiled batch merge, the all-banks mask and the top-k head,
+    /// at any bank size and batch composition — always returns the flat
+    /// scalar argmin row and its exact conductance.
     #[test]
     fn banked_paths_equal_flat_scalar(
         rows_per_bank in 1usize..7,
@@ -133,21 +137,37 @@ proptest! {
             flat.store(r).expect("store flat");
         }
         let refs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
-        let plan = banked.compile().expect("compile banked");
-        let plan_single: Vec<(usize, f64)> = refs
-            .iter()
-            .map(|q| plan.search(q, threads).expect("plan search"))
-            .collect();
-        let plan_batch = plan.search_batch(&refs, threads).expect("plan batch");
-        let front_batch = banked.search_batch(&refs).expect("front batch");
+        let winners = |queries: &[&[u8]]| {
+            banked
+                .search_batch_winners_with(queries, Precision::F64)
+                .expect("banked winners")
+        };
+        // Batches of `threads` queries (fewer than the 8 ladder levels)
+        // on a cold cache take the scalar per-bank sweep...
+        let cold: Vec<(usize, f64)> = refs.chunks(threads).flat_map(&winners).collect();
+        prop_assert_eq!(banked.plan_memory_bytes().f64_plane, 0);
+        // ...a batch of at least 8 compiles the per-bank plans...
+        let padded: Vec<&[u8]> = refs.iter().copied().cycle().take(refs.len().max(8)).collect();
+        let compiled = winners(&padded);
+        prop_assert!(banked.plan_memory_bytes().f64_plane > 0);
+        // ...and the same small batches then run on the warm plans.
+        let warm: Vec<(usize, f64)> = refs.chunks(threads).flat_map(&winners).collect();
+        let all: Vec<usize> = (0..banked.n_banks()).collect();
+        let masked = banked
+            .search_batch_winners_masked(&refs, Precision::F64, &all)
+            .expect("all-banks mask");
+        let top = banked
+            .search_batch_top_k_with(&refs, 1, Precision::F64)
+            .expect("banked top-1");
         for (i, q) in refs.iter().enumerate() {
             let scalar = flat.search(q).expect("flat scalar");
             let best = scalar.best_row();
             let expected = (best, scalar.conductance(best));
-            prop_assert_eq!(banked.search(q).expect("banked"), expected);
-            prop_assert_eq!(plan_single[i], expected);
-            prop_assert_eq!(plan_batch[i], expected);
-            prop_assert_eq!(front_batch[i], expected);
+            prop_assert_eq!(cold[i], expected);
+            prop_assert_eq!(compiled[i], expected);
+            prop_assert_eq!(warm[i], expected);
+            prop_assert_eq!(masked[i], expected);
+            prop_assert_eq!(&top[i][..], &[expected][..]);
         }
     }
 

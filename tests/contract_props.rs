@@ -1,10 +1,13 @@
 //! Cross-cutting API-contract property tests (the PR 4 bugfix sweep):
 //!
 //! 1. **Empty-array / empty-batch contract** — every batch entry point
-//!    (flat array, banked memory, and all `NnIndex` engines) errors
-//!    with `EmptyArray` on an empty index *even for an empty batch*,
-//!    exactly like the single-query paths; an empty batch against a
-//!    nonempty index is `Ok(vec![])`.
+//!    (flat array; banked memory full, masked, winners and top-k;
+//!    routed memory; and all `NnIndex` engines) errors with
+//!    `EmptyArray` on an empty index *even for an empty batch*, exactly
+//!    like the single-query paths; an empty batch against a nonempty
+//!    index is `Ok(vec![])`. Bank masks that are empty, unsorted,
+//!    duplicated or out of range are `InvalidParameter` at every
+//!    precision.
 //! 2. **`k` clamp contract** — `query_k` / `query_k_batch` clamp `k`
 //!    (0 → empty, `> len` → `len`) identically across `SoftwareNn`,
 //!    `TcamLshNn`, and `McamNn` at every precision; they never error
@@ -31,6 +34,10 @@ fn nominal_banked(bits: u8, word_len: usize, rows_per_bank: usize) -> BankedMcam
     let ladder = LevelLadder::new(bits).expect("ladder");
     let lut = ConductanceLut::from_device(&FefetModel::default(), &ladder);
     BankedMcam::new(ladder, lut, word_len, rows_per_bank)
+}
+
+fn routed(banked: BankedMcam) -> RoutedMcam {
+    RoutedMcam::new(banked, RouterConfig::default()).expect("router")
 }
 
 /// Deterministic pseudo-random word over `n_levels`.
@@ -61,19 +68,36 @@ fn empty_array_and_banked_refuse_batches_even_empty_ones() {
         ));
     }
     let banked = nominal_banked(3, 4, 2);
-    assert!(matches!(
-        banked.search_batch(&[]),
-        Err(CoreError::EmptyArray)
-    ));
-    for precision in PRECISIONS {
-        assert!(matches!(
-            banked.search_batch_with(&[], precision),
-            Err(CoreError::EmptyArray)
-        ));
-        assert!(matches!(
-            banked.search_batch_winners_with(&[], precision),
-            Err(CoreError::EmptyArray)
-        ));
+    let routed = routed(nominal_banked(3, 4, 2));
+    let one: [&[u8]; 1] = [&[0; 4]];
+    // Emptiness outranks both batch length and mask validation.
+    for queries in [&[][..], &one[..]] {
+        for precision in PRECISIONS {
+            assert!(matches!(
+                banked.search_batch_winners_with(queries, precision),
+                Err(CoreError::EmptyArray)
+            ));
+            assert!(matches!(
+                banked.search_batch_top_k_with(queries, 3, precision),
+                Err(CoreError::EmptyArray)
+            ));
+            assert!(matches!(
+                banked.search_batch_winners_masked(queries, precision, &[0]),
+                Err(CoreError::EmptyArray)
+            ));
+            assert!(matches!(
+                banked.search_batch_top_k_masked(queries, 3, precision, &[0]),
+                Err(CoreError::EmptyArray)
+            ));
+            assert!(matches!(
+                routed.search_batch_winners_with(queries, precision),
+                Err(CoreError::EmptyArray)
+            ));
+            assert!(matches!(
+                routed.search_batch_top_k_with(queries, 3, precision),
+                Err(CoreError::EmptyArray)
+            ));
+        }
     }
 }
 
@@ -83,6 +107,8 @@ fn nonempty_array_and_banked_accept_empty_batches() {
     array.store(&[1, 2, 3, 4]).unwrap();
     let mut banked = nominal_banked(3, 4, 2);
     banked.store(&[1, 2, 3, 4]).unwrap();
+    let mut routed = routed(nominal_banked(3, 4, 2));
+    routed.store(&[1, 2, 3, 4]).unwrap();
     for precision in PRECISIONS {
         assert!(array.search_batch_with(&[], precision).unwrap().is_empty());
         assert!(array
@@ -93,13 +119,81 @@ fn nonempty_array_and_banked_accept_empty_batches() {
             .search_batch_top_k_with(&[], 3, precision)
             .unwrap()
             .is_empty());
-        assert!(banked.search_batch_with(&[], precision).unwrap().is_empty());
         assert!(banked
             .search_batch_winners_with(&[], precision)
             .unwrap()
             .is_empty());
+        assert!(banked
+            .search_batch_top_k_with(&[], 3, precision)
+            .unwrap()
+            .is_empty());
+        assert!(banked
+            .search_batch_winners_masked(&[], precision, &[0])
+            .unwrap()
+            .is_empty());
+        assert!(banked
+            .search_batch_top_k_masked(&[], 3, precision, &[0])
+            .unwrap()
+            .is_empty());
+        assert!(routed
+            .search_batch_winners_with(&[], precision)
+            .unwrap()
+            .is_empty());
+        assert!(routed
+            .search_batch_top_k_with(&[], 3, precision)
+            .unwrap()
+            .is_empty());
     }
-    assert!(banked.search_batch(&[]).unwrap().is_empty());
+}
+
+#[test]
+fn malformed_bank_masks_are_invalid_parameters() {
+    // Three banks of two rows: bank indices 0..=2 exist.
+    let mut banked = nominal_banked(3, 4, 2);
+    for i in 0..6 {
+        banked.store(&gen_word(4, 8, 7, i)).unwrap();
+    }
+    assert_eq!(banked.n_banks(), 3);
+    let query = gen_word(4, 8, 7, 99);
+    let one: [&[u8]; 1] = [&query];
+    let malformed: [(&str, &[usize]); 4] = [
+        ("empty", &[]),
+        ("unsorted", &[2, 0]),
+        ("duplicate", &[1, 1]),
+        ("out of range", &[0, 3]),
+    ];
+    for precision in PRECISIONS {
+        for (what, mask) in malformed {
+            // The mask is checked before the batch is looked at, so an
+            // empty batch is refused the same way.
+            for queries in [&one[..], &[][..]] {
+                assert!(
+                    matches!(
+                        banked.search_batch_winners_masked(queries, precision, mask),
+                        Err(CoreError::InvalidParameter {
+                            name: "bank mask",
+                            ..
+                        })
+                    ),
+                    "winners, {what} mask, {precision:?}"
+                );
+                assert!(
+                    matches!(
+                        banked.search_batch_top_k_masked(queries, 2, precision, mask),
+                        Err(CoreError::InvalidParameter {
+                            name: "bank mask",
+                            ..
+                        })
+                    ),
+                    "top-k, {what} mask, {precision:?}"
+                );
+            }
+        }
+        // A well-formed mask over the same banks is accepted.
+        assert!(banked
+            .search_batch_winners_masked(&one, precision, &[0, 2])
+            .is_ok());
+    }
 }
 
 /// The engine lineup the cross-engine contracts quantify over: FP32
@@ -271,8 +365,11 @@ proptest! {
 
         for precision in PRECISIONS {
             // Flat cached plans: full outcome and winners paths.
-            let outcome = array.search_with(&query, precision).expect("search_with");
-            prop_assert_eq!(outcome.best_row(), expected, "search_with {:?}", precision);
+            let outcome = array
+                .search_batch_with(&[&query], precision)
+                .expect("search_batch_with")
+                .remove(0);
+            prop_assert_eq!(outcome.best_row(), expected, "search_batch_with {:?}", precision);
             let winners = array
                 .search_batch_winners_with(&[&query, &query], precision)
                 .expect("winners");
@@ -289,16 +386,21 @@ proptest! {
                 prop_assert!(top[1].0 > top[0].0, "tied top-k out of order");
             }
             // Banked merge: same winner through the hierarchical
-            // winner-take-all, single and batched.
-            let (row, _) = banked.search_with(&query, precision).expect("banked");
-            prop_assert_eq!(row, expected, "banked search {:?}", precision);
+            // winner-take-all, full sweep and all-banks mask.
+            let all: Vec<usize> = (0..banked.n_banks()).collect();
+            let (row, _) = banked
+                .search_batch_winners_masked(&[&query], precision, &all)
+                .expect("banked masked")[0];
+            prop_assert_eq!(row, expected, "banked masked {:?}", precision);
             let batched = banked
-                .search_batch_winners_with(&[&query], precision)
+                .search_batch_winners_with(&[&query, &query], precision)
                 .expect("banked batch");
             prop_assert_eq!(batched[0].0, expected, "banked batch {:?}", precision);
+            prop_assert_eq!(batched[1].0, expected, "banked batch {:?}", precision);
             let top = banked
-                .search_top_k_with(&query, 2, precision)
-                .expect("banked top-k");
+                .search_batch_top_k_with(&[&query], 2, precision)
+                .expect("banked top-k")
+                .remove(0);
             prop_assert_eq!(top[0].0, expected, "banked top-k {:?}", precision);
         }
     }

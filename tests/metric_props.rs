@@ -64,6 +64,27 @@ fn gen_word(word_len: usize, n_levels: usize, seed: u64, salt: usize) -> Vec<u8>
         .collect()
 }
 
+/// The search settings `(precision, metric)`.
+fn spec(precision: Precision, metric: Metric) -> SearchSpec {
+    SearchSpec { precision, metric }
+}
+
+/// One query's full outcome through the cached front door.
+fn search_one(array: &McamArray, query: &[u8], spec: SearchSpec) -> SearchOutcome {
+    array
+        .search_batch_with(&[query], spec)
+        .expect("search")
+        .remove(0)
+}
+
+/// Whether the codes plan at `metric` runs the packed kernel.
+fn codes_packed(array: &McamArray, metric: Metric) -> bool {
+    let plan = array
+        .plan(spec(Precision::Codes, metric))
+        .expect("codes plan");
+    matches!(plan, Plan::Codes(dispatch) if dispatch.is_packed())
+}
+
 /// The oracle's winner under the universal lowest-row tie-break.
 fn oracle_winner(outcome: &SearchOutcome) -> (usize, f64) {
     let best = outcome.best_row();
@@ -77,8 +98,7 @@ proptest! {
     /// cold-cache scalar fallback — is bit-identical to the scalar
     /// per-metric oracle, with and without device variation. This is
     /// the acceptance anchor for the L∞ max-reduce kernel: its plan
-    /// goes through the same `cached_plan_metric` compile as the sum
-    /// folds.
+    /// goes through the same cached `plan` compile as the sum folds.
     #[test]
     fn f64_metric_plans_match_scalar_oracle(
         bits in 2u8..=4,
@@ -95,16 +115,15 @@ proptest! {
         for metric in Metric::ALL {
             // Force the compiled plan (a lone cached search may take
             // the documented cold-cache scalar fallback).
-            let plan = array.cached_plan_metric::<f64>(metric).expect("f64 plan");
+            let plan = array.plan(spec(Precision::F64, metric)).expect("f64 plan");
+            prop_assert!(matches!(plan, Plan::F64(_)));
             for salt in [401usize, 502, 603] {
                 let q = gen_word(word_len, n_levels, seed, salt);
                 let compiled = plan.search(&q).expect("compiled search");
                 let oracle = array.search_metric(&q, metric).expect("oracle");
                 prop_assert_eq!(compiled.conductances(), oracle.conductances());
                 // The warm cached front door now serves the same plan.
-                let cached = array
-                    .search_with_metric(&q, Precision::F64, metric)
-                    .expect("cached");
+                let cached = search_one(&array, &q, spec(Precision::F64, metric));
                 prop_assert_eq!(cached.conductances(), oracle.conductances());
             }
         }
@@ -132,9 +151,8 @@ proptest! {
             (0..4).map(|s| gen_word(word_len, n_levels, seed, 800 + s)).collect();
         let refs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
         for metric in SYNTHESIZED {
-            let dispatch = array.compiled_codes_metric(metric).expect("codes dispatch");
             prop_assert!(
-                dispatch.is_packed(),
+                codes_packed(&array, metric),
                 "synthesized {} must pack even under variation",
                 metric.name()
             );
@@ -144,25 +162,23 @@ proptest! {
                 .collect();
             for precision in PRECISIONS {
                 for (q, oracle) in refs.iter().zip(&oracles) {
-                    let got = array
-                        .search_with_metric(q, precision, metric)
-                        .expect("search");
+                    let got = search_one(&array, q, spec(precision, metric));
                     prop_assert_eq!(got.conductances(), oracle.conductances());
                 }
                 let batch = array
-                    .search_batch_with_metric(&refs, precision, metric)
+                    .search_batch_with(&refs, spec(precision, metric))
                     .expect("batch");
                 for (got, oracle) in batch.iter().zip(&oracles) {
                     prop_assert_eq!(got.conductances(), oracle.conductances());
                 }
                 let winners = array
-                    .search_batch_winners_with_metric(&refs, precision, metric)
+                    .search_batch_winners_with(&refs, spec(precision, metric))
                     .expect("winners");
                 for (got, oracle) in winners.iter().zip(&oracles) {
                     prop_assert_eq!(*got, oracle_winner(oracle));
                 }
                 let topk = array
-                    .search_batch_top_k_with_metric(&refs, k, precision, metric)
+                    .search_batch_top_k_with(&refs, k, spec(precision, metric))
                     .expect("top k");
                 for (got, oracle) in topk.iter().zip(&oracles) {
                     let want: Vec<(usize, f64)> = oracle
@@ -196,17 +212,16 @@ proptest! {
             (0..3).map(|s| gen_word(word_len, n_levels, seed, 700 + s)).collect();
         let refs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
         for metric in Metric::ALL {
-            let dispatch = array.compiled_codes_metric(metric).expect("dispatch");
             if metric == Metric::McamConductance && with_variation {
-                prop_assert!(!dispatch.is_packed(), "variation conductance must fall back");
+                prop_assert!(!codes_packed(&array, metric), "variation conductance must fall back");
             } else {
-                prop_assert!(dispatch.is_packed());
+                prop_assert!(codes_packed(&array, metric));
             }
             let bc = array
-                .search_batch_with_metric(&refs, Precision::Codes, metric)
+                .search_batch_with(&refs, spec(Precision::Codes, metric))
                 .expect("codes batch");
             let bf = array
-                .search_batch_with_metric(&refs, Precision::F32, metric)
+                .search_batch_with(&refs, spec(Precision::F32, metric))
                 .expect("f32 batch");
             for (c, f) in bc.iter().zip(&bf) {
                 prop_assert_eq!(c.conductances(), f.conductances());
@@ -252,15 +267,15 @@ proptest! {
                 // the path is bit-identical to the f64 oracle.
                 let exact = precision == Precision::F64 || metric != Metric::McamConductance;
                 let winners = array
-                    .search_batch_winners_with_metric(&[&q], precision, metric)
+                    .search_batch_winners_with(&[&q], spec(precision, metric))
                     .expect("winners");
                 prop_assert!(winners[0].0 < n_uniques, "tie must break to the first copy");
                 if exact {
                     prop_assert_eq!(winners[0], (want_row, want_score));
                 }
                 let (brow, _) = banked
-                    .search_with_metric(&q, precision, metric)
-                    .expect("banked");
+                    .search_batch_winners_with(&[&q], spec(precision, metric))
+                    .expect("banked")[0];
                 prop_assert!(brow < n_uniques);
                 if exact {
                     prop_assert_eq!(brow, want_row);
@@ -268,8 +283,9 @@ proptest! {
                 // Top-k over everything lists each duplicate pair in
                 // ascending global-row order within its tie.
                 let hits = banked
-                    .search_top_k_with_metric(&q, rows.len(), precision, metric)
-                    .expect("banked top k");
+                    .search_batch_top_k_with(&[&q], rows.len(), spec(precision, metric))
+                    .expect("banked top k")
+                    .remove(0);
                 prop_assert_eq!(hits.len(), rows.len());
                 for pair in hits.windows(2) {
                     if pair[0].1 == pair[1].1 {
@@ -306,7 +322,7 @@ proptest! {
         for metric in Metric::ALL {
             for precision in PRECISIONS {
                 array
-                    .search_batch_with_metric(&[&warm], precision, metric)
+                    .search_batch_with(&[&warm], spec(precision, metric))
                     .expect("warm");
             }
         }
@@ -320,9 +336,7 @@ proptest! {
                 // Rotate the starting precision so every slot gets
                 // exercised at multiple steps of the interleaving.
                 let precision = PRECISIONS[(step + i) % PRECISIONS.len()];
-                let cached = array
-                    .search_with_metric(&q, precision, metric)
-                    .expect("cached");
+                let cached = search_one(&array, &q, spec(precision, metric));
                 prop_assert_eq!(cached.conductances().len(), step + 2);
                 if precision == Precision::F64 || metric != Metric::McamConductance {
                     prop_assert_eq!(cached.conductances(), oracle.conductances());
@@ -330,9 +344,7 @@ proptest! {
                 // The stored row is an exact self-match: distance 0
                 // under every synthesized metric.
                 if metric != Metric::McamConductance {
-                    let hit = array
-                        .search_with_metric(&new_row, precision, metric)
-                        .expect("self hit");
+                    let hit = search_one(&array, &new_row, spec(precision, metric));
                     prop_assert_eq!(hit.conductance(hit.best_row()), 0.0);
                 }
             }
@@ -374,8 +386,8 @@ proptest! {
             // pins).
             let exact_score = precision == Precision::F64 || metric != Metric::McamConductance;
             let (row, score) = banked
-                .search_with_metric(&q, precision, metric)
-                .expect("banked");
+                .search_batch_winners_with(&[&q], spec(precision, metric))
+                .expect("banked")[0];
             let (want_row, want_score) = oracle_winner(&oracle);
             if exact_score {
                 prop_assert_eq!((row, score), (want_row, want_score));
@@ -389,12 +401,12 @@ proptest! {
             masked_rows
                 .sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite").then(a.0.cmp(&b.0)));
             let (mrow, mscore) = banked
-                .search_masked_with_metric(&q, precision, metric, &mask)
-                .expect("masked");
+                .search_batch_winners_masked(&[&q], spec(precision, metric), &mask)
+                .expect("masked")[0];
             if exact_score {
                 prop_assert_eq!((mrow, mscore), masked_rows[0]);
                 let topk = banked
-                    .search_batch_top_k_masked_metric(&[&q], k, precision, metric, &mask)
+                    .search_batch_top_k_masked(&[&q], k, spec(precision, metric), &mask)
                     .expect("masked top k");
                 masked_rows.truncate(k);
                 prop_assert_eq!(topk[0].clone(), masked_rows);
@@ -406,7 +418,7 @@ proptest! {
 }
 
 /// Acceptance criterion: a served per-request metric answer equals the
-/// direct `search_with_metric` under interleaved stores — with
+/// direct banked search at that metric under interleaved stores — with
 /// mixed-metric tickets in flight so micro-batch windows group by
 /// metric.
 #[test]
@@ -436,8 +448,8 @@ fn served_per_request_metric_matches_direct_under_stores() {
         for (ticket, metric, q) in tickets {
             let served = ticket.wait().unwrap();
             let want = direct
-                .search_with_metric(q, Precision::F64, metric)
-                .unwrap();
+                .search_batch_winners_with(&[q.as_slice()], spec(Precision::F64, metric))
+                .unwrap()[0];
             assert_eq!(
                 served,
                 want,
@@ -452,8 +464,9 @@ fn served_per_request_metric_matches_direct_under_stores() {
         for metric in [Metric::L1, Metric::Linf] {
             let served = handle.search_top_k_with_metric(&q, 3, metric).unwrap();
             let want = direct
-                .search_top_k_with_metric(&q, 3, Precision::F64, metric)
-                .unwrap();
+                .search_batch_top_k_with(&[&q], 3, spec(Precision::F64, metric))
+                .unwrap()
+                .remove(0);
             assert_eq!(served, want);
             n_queries += 1;
         }

@@ -59,6 +59,19 @@ fn gen_word(word_len: usize, n_levels: usize, seed: u64, salt: usize) -> Vec<u8>
         .collect()
 }
 
+/// One query's full outcome through the cached front door.
+fn search_one(array: &McamArray, query: &[u8], precision: Precision) -> SearchOutcome {
+    array
+        .search_batch_with(&[query], precision)
+        .expect("search")
+        .remove(0)
+}
+
+/// Whether a plan is the packed-code kernel.
+fn is_packed(plan: &Plan) -> bool {
+    matches!(plan, Plan::Codes(dispatch) if dispatch.is_packed())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -77,8 +90,8 @@ proptest! {
             (0..n_rows).map(|i| gen_word(word_len, n_levels, seed, i)).collect();
         let sigma = if with_variation { 0.06 } else { 0.0 };
         let array = build_array(bits, word_len, &rows, sigma, seed);
-        let plan64 = array.compiled().expect("f64 plan");
-        let plan32 = array.compiled_f32().expect("f32 plan");
+        let plan64 = array.plan(Precision::F64).expect("f64 plan");
+        let plan32 = array.plan(Precision::F32).expect("f32 plan");
         for salt in [501usize, 602, 703] {
             let q = gen_word(word_len, n_levels, seed, salt);
             let o64 = plan64.search(&q).expect("f64 search");
@@ -119,8 +132,8 @@ proptest! {
             (0..n_rows).map(|i| gen_word(word_len, n_levels, seed, i * 3 + 1)).collect();
         let sigma = if with_variation { 0.09 } else { 0.0 };
         let array = build_array(bits, word_len, &rows, sigma, seed ^ 0x5EED);
-        let plan64 = array.compiled().expect("f64 plan");
-        let plan32 = array.compiled_f32().expect("f32 plan");
+        let plan64 = array.plan(Precision::F64).expect("f64 plan");
+        let plan32 = array.plan(Precision::F32).expect("f32 plan");
         let q = gen_word(word_len, n_levels, seed, 999);
         let o64 = plan64.search(&q).expect("f64 search");
         let o32 = plan32.search(&q).expect("f32 search");
@@ -154,9 +167,9 @@ proptest! {
         let rows: Vec<Vec<u8>> =
             (0..n_rows).map(|i| gen_word(word_len, n_levels, seed, i)).collect();
         let array = build_array(bits, word_len, &rows, 0.0, seed);
-        let dispatch = array.compiled_codes().expect("codes plan");
-        prop_assert!(dispatch.is_packed(), "shared-LUT array must use the packed kernel");
-        let plan32 = array.compiled_f32().expect("f32 plan");
+        let dispatch = array.plan(Precision::Codes).expect("codes plan");
+        prop_assert!(is_packed(&dispatch), "shared-LUT array must use the packed kernel");
+        let plan32 = array.plan(Precision::F32).expect("f32 plan");
         let queries: Vec<Vec<u8>> =
             (0..4).map(|s| gen_word(word_len, n_levels, seed, 800 + s)).collect();
         let refs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
@@ -195,8 +208,8 @@ proptest! {
         let rows: Vec<Vec<u8>> =
             (0..n_rows).map(|i| gen_word(word_len, n_levels, seed, i * 2 + 1)).collect();
         let array = build_array(bits, word_len, &rows, 0.07, seed ^ 0xC0DE5);
-        let dispatch = array.compiled_codes().expect("codes dispatch");
-        prop_assert!(!dispatch.is_packed(), "variation array must fall back to planes");
+        let dispatch = array.plan(Precision::Codes).expect("codes dispatch");
+        prop_assert!(!is_packed(&dispatch), "variation array must fall back to planes");
         let queries: Vec<Vec<u8>> =
             (0..3).map(|s| gen_word(word_len, n_levels, seed, 700 + s)).collect();
         let refs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
@@ -205,8 +218,8 @@ proptest! {
         for (c, f) in bc.iter().zip(&bf) {
             prop_assert_eq!(c.conductances(), f.conductances());
         }
-        let single_codes = array.search_with(&queries[0], Precision::Codes).expect("codes");
-        let single_f32 = array.search_with(&queries[0], Precision::F32).expect("f32");
+        let single_codes = search_one(&array, &queries[0], Precision::Codes);
+        let single_f32 = search_one(&array, &queries[0], Precision::F32);
         prop_assert_eq!(single_codes.conductances(), single_f32.conductances());
     }
 
@@ -229,9 +242,7 @@ proptest! {
             banked.store(&word).expect("store banked");
             flat.store(&word).expect("store flat");
             // Flat: the cached codes plan reflects every store.
-            let outcome = flat
-                .search_with(&word, Precision::Codes)
-                .expect("flat codes");
+            let outcome = search_one(&flat, &word, Precision::Codes);
             prop_assert_eq!(outcome.conductances().len(), step + 1);
             // The row just stored is an exact match on a nominal
             // array, so it ties the winning conductance.
@@ -247,8 +258,8 @@ proptest! {
                 .collect();
             let refs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
             prop_assert_eq!(
-                banked.search_batch_with(&refs, Precision::Codes).expect("banked codes"),
-                banked.search_batch_with(&refs, Precision::F32).expect("banked f32")
+                banked.search_batch_winners_with(&refs, Precision::Codes).expect("banked codes"),
+                banked.search_batch_winners_with(&refs, Precision::F32).expect("banked f32")
             );
         }
         // Engine entry point: add() must invalidate the codes slot so
@@ -301,9 +312,13 @@ proptest! {
             let q = gen_word(word_len, n_levels, seed, batch * 7 + 2);
             // Cached path, scalar reference, and explicit fresh compile
             // must agree bitwise — and see every stored row.
-            let cached = array.search_with(&q, Precision::F64).expect("cached");
+            let cached = search_one(&array, &q, Precision::F64);
             let scalar = array.search(&q).expect("scalar");
-            let fresh = array.compile().expect("fresh").search(&q).expect("fresh search");
+            let fresh = array
+                .plan(Precision::F64)
+                .expect("fresh")
+                .search(&q)
+                .expect("fresh search");
             prop_assert_eq!(cached.conductances(), scalar.conductances());
             prop_assert_eq!(fresh.conductances(), scalar.conductances());
             prop_assert_eq!(cached.conductances().len(), batch + 2);
@@ -311,7 +326,7 @@ proptest! {
             // nominal array the exact match minimizes conductance, so
             // the winner's conductance equals the new row's; variation
             // arrays only guarantee visibility, asserted above).
-            let hit = array.search_with(&new_row, Precision::F64).expect("hit");
+            let hit = search_one(&array, &new_row, Precision::F64);
             let stored_at = batch + 1;
             if !with_variation {
                 prop_assert_eq!(
@@ -320,7 +335,7 @@ proptest! {
                 );
             }
             // The f32 cache tracks the same contents.
-            let hit32 = array.search_with(&new_row, Precision::F32).expect("hit32");
+            let hit32 = search_one(&array, &new_row, Precision::F32);
             prop_assert_eq!(hit32.conductances().len(), batch + 2);
         }
     }
@@ -346,7 +361,9 @@ proptest! {
                 .map(|s| gen_word(4, 8, seed, 100 + step * 3 + s))
                 .collect();
             let refs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
-            let batched = banked.search_batch(&refs).expect("banked batch");
+            let batched = banked
+                .search_batch_winners_with(&refs, Precision::F64)
+                .expect("banked batch");
             for (q, &(row, g)) in refs.iter().zip(&batched) {
                 let scalar = flat.search(q).expect("flat scalar");
                 prop_assert_eq!(row, scalar.best_row());
@@ -357,8 +374,8 @@ proptest! {
             // it, and its score is within the error bound of that
             // row's true conductance.
             let (r32, g32) = banked
-                .search_with(&queries[0], Precision::F32)
-                .expect("banked f32");
+                .search_batch_winners_with(&refs[..1], Precision::F32)
+                .expect("banked f32")[0];
             let scalar = flat.search(&queries[0]).expect("flat");
             prop_assert!(r32 < flat.n_rows());
             let true_g32 = scalar.conductance(r32);

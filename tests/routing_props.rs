@@ -78,8 +78,8 @@ proptest! {
                 prop_assert_eq!(mg.to_bits(), fg.to_bits(), "{:?}", precision);
             }
             let (sr, sg) = memory
-                .search_masked_with(refs[0], precision, &all)
-                .expect("masked single");
+                .search_batch_winners_masked(&refs[..1], precision, &all)
+                .expect("masked single")[0];
             prop_assert_eq!((sr, sg.to_bits()), (full[0].0, full[0].1.to_bits()));
             let masked_k = memory
                 .search_batch_top_k_masked(&refs, k, precision, &all)
@@ -112,8 +112,8 @@ proptest! {
         let banks: Vec<usize> = (0..n_banks).filter(|b| mask_bits >> b & 1 == 1).collect();
         let query = gen_word(word_len, n_levels, seed, 777);
         let (row, g) = memory
-            .search_masked_with(&query, Precision::F64, &banks)
-            .expect("masked");
+            .search_batch_winners_masked(&[&query], Precision::F64, &banks)
+            .expect("masked")[0];
         // Reference fold over per-bank outcomes (search_all_banks runs
         // the compiled per-bank path).
         let outcomes = memory.search_all_banks(&query).expect("all banks");
@@ -163,11 +163,13 @@ proptest! {
             routed.store(&word).expect("store");
             stored.push(word);
             for w in &stored {
-                let (rr, rg) = routed.search_with(w, Precision::F64).expect("routed");
+                let (rr, rg) = routed
+                    .search_batch_winners_with(&[w.as_slice()], Precision::F64)
+                    .expect("routed")[0];
                 let (fr, fg) = routed
                     .memory()
-                    .search_with(w, Precision::F64)
-                    .expect("full sweep");
+                    .search_batch_winners_with(&[w.as_slice()], Precision::F64)
+                    .expect("full sweep")[0];
                 prop_assert_eq!(rr, fr, "step {}", step);
                 prop_assert_eq!(rg.to_bits(), fg.to_bits(), "step {}", step);
             }
