@@ -565,9 +565,15 @@ impl McamArray {
         self.plans.codes(self, metric)
     }
 
-    /// The cached `f64` plan at `metric`, if warm (never compiles).
-    pub(crate) fn warm_f64_plan(&self, metric: Metric) -> Option<Arc<CompiledMcam<f64>>> {
-        self.plans.warm_f64(metric)
+    /// The `f64` plan at `metric` for a batch of `batch` queries, or
+    /// `None` while the cold-cache scalar fallback should serve it (see
+    /// [`plan_for`](Self::plan_for)).
+    pub(crate) fn f64_plan_for(
+        &self,
+        batch: usize,
+        metric: Metric,
+    ) -> Result<Option<Arc<CompiledMcam<f64>>>> {
+        self.plans.f64_amortized(self, metric, batch)
     }
 
     /// Resident bytes of the cached compiled plans, one field per
@@ -582,16 +588,16 @@ impl McamArray {
     /// The plan a batch of `batch` queries at `spec` should execute on:
     /// the cached plan when warm (reusing it is free) or when it is
     /// cheap to compile, and `None` — run the bit-identical scalar
-    /// path — for an `f64` spec whose cache is cold while the batch is
-    /// too small to pay for the `n_levels` plane fills (e.g. single
-    /// queries interleaved with stores). Codes plans compile eagerly
+    /// path — for an `f64` spec whose cache is cold until the scalar
+    /// path has served `n_levels` queries since the last store (this
+    /// batch included), the cost of the `n_levels` plane fills a
+    /// compile takes. Single queries interleaved with stores thus never
+    /// recompile per query, while a steady stream of small batches
+    /// still warms the plan. Codes plans compile eagerly
     /// ([`exec::CODES_COMPILE_THRESHOLD`]).
     fn plan_for(&self, batch: usize, spec: SearchSpec) -> Result<Option<Plan>> {
-        if spec.precision == Precision::F64
-            && batch < self.ladder.n_levels()
-            && self.plans.warm_f64(spec.metric).is_none()
-        {
-            return Ok(None);
+        if spec.precision == Precision::F64 {
+            return Ok(self.f64_plan_for(batch, spec.metric)?.map(Plan::F64));
         }
         self.plan(spec).map(Some)
     }
@@ -630,8 +636,9 @@ impl McamArray {
     /// a mutation and is reused afterwards. At [`Precision::F64`] the
     /// outcomes are bit-identical to the scalar per-metric oracle
     /// [`search_metric`](Self::search_metric) (and a cold cache falls
-    /// back to it while the batch is too small to pay for a compile);
-    /// the fast modes carry [`crate::exec`]'s accuracy contract.
+    /// back to it until `n_levels` queries since the last store have
+    /// paid for a compile); the fast modes carry [`crate::exec`]'s
+    /// accuracy contract.
     ///
     /// # Empty-batch contract
     ///

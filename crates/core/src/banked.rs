@@ -304,31 +304,26 @@ impl BankedMcam {
         Ok(())
     }
 
-    /// The masked banks' cached `f64` plans when every one is warm, or
-    /// when `batch` queries amortize compiling the cold ones; `None`
-    /// means the bit-identical scalar sweep should serve this call
-    /// (cold cache, workload too small to pay for `n_levels` plane
-    /// fills per bank). Each bank compiles lazily and recompiles only
-    /// when *that* bank has mutated since (storing a row dirties one
-    /// bank, not the whole memory).
+    /// The masked banks' `f64` plans when every one is warm or has paid
+    /// for its compile; `None` means the bit-identical scalar sweep
+    /// should serve this call. Each bank decides on its own (see
+    /// [`McamArray`]'s cold-cache fallback): it compiles once `batch`
+    /// queries, or the queries its scalar sweep has served since the
+    /// bank last mutated, reach `n_levels` — so storing a row dirties
+    /// one bank, not the whole memory, and a stream of small batches
+    /// warms it again. Every masked bank counts the batch, so none
+    /// falls behind the others.
     fn f64_plans_for(
         &self,
         banks: &[usize],
         batch: usize,
         metric: Metric,
     ) -> Result<Option<Vec<Arc<CompiledMcam<f64>>>>> {
-        let warm: Option<Vec<_>> = banks
+        let plans = banks
             .iter()
-            .map(|&b| self.banks[b].warm_f64_plan(metric))
-            .collect();
-        if warm.is_some() {
-            return Ok(warm);
-        }
-        if batch < self.ladder.n_levels() {
-            return Ok(None);
-        }
-        self.bank_plans(banks, |bank| bank.plane_plan::<f64>(metric))
-            .map(Some)
+            .map(|&b| self.banks[b].f64_plan_for(batch, metric))
+            .collect::<Result<Vec<_>>>()?;
+        Ok(plans.into_iter().collect())
     }
 
     /// One cached plan per masked bank, from `plan`.

@@ -211,6 +211,7 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::atomic::{self, AtomicUsize};
 use std::sync::{Arc, PoisonError};
 
 use crate::sync::{Mutex, MutexGuard};
@@ -416,8 +417,8 @@ impl From<Precision> for SearchSpec {
 /// of ONE scalar query over the same cells — so a single query already
 /// amortizes it. This is why the codes entry points compile eagerly, in
 /// contrast to the cached `f64` path whose compile costs `n_levels`
-/// full plane fills (hence its `n_levels`-query threshold before a cold
-/// cache stops falling back to the scalar path).
+/// full plane fills (hence a cold `f64` cache falls back to the scalar
+/// path until it has served `n_levels` queries there).
 ///
 /// This constant *documents* that decision (and is pinned by tests); a
 /// threshold of 1 means "always compile", which the entry points
@@ -558,6 +559,9 @@ pub struct PlanCache {
     f64_plans: Mutex<[Option<Arc<CompiledMcam<f64>>>; N_METRICS]>,
     f32_plans: Mutex<[Option<Arc<CompiledMcam<f32>>>; N_METRICS]>,
     codes_plans: Mutex<[Option<Arc<CompiledCodes>>; N_METRICS]>,
+    /// Queries the cold `f64` slot of each metric has left to the
+    /// scalar fallback since the last invalidation.
+    f64_scalar_served: [AtomicUsize; N_METRICS],
 }
 
 impl Default for PlanCache {
@@ -566,6 +570,7 @@ impl Default for PlanCache {
             f64_plans: Mutex::new("core.plan_cache.f64", Default::default()),
             f32_plans: Mutex::new("core.plan_cache.f32", Default::default()),
             codes_plans: Mutex::new("core.plan_cache.codes", Default::default()),
+            f64_scalar_served: Default::default(),
         }
     }
 }
@@ -622,13 +627,38 @@ impl PlanCache {
         Ok(CodesDispatch::Packed(plan))
     }
 
-    /// The cached `f64` plan at `metric` if one is currently compiled,
-    /// without compiling on a miss (what the cold-cache scalar
-    /// fallback checks before deciding whether a compile pays).
-    pub(crate) fn warm_f64(&self, metric: Metric) -> Option<Arc<CompiledMcam<f64>>> {
-        lock(&self.f64_plans)[metric.index()]
-            .as_ref()
-            .map(Arc::clone)
+    /// The `f64` plan a batch of `batch` queries at `metric` should run
+    /// on, or `None` for the bit-identical scalar sweep. A warm plan is
+    /// always reused. A cold one compiles once the compile pays: a
+    /// compile costs `n_levels` plane fills, about `n_levels` scalar
+    /// queries, so it runs once the queries this slot has left to the
+    /// scalar sweep since the last invalidation, this batch included,
+    /// reach `n_levels`. One large batch compiles at once; a steady
+    /// trickle of small batches warms the plan after `n_levels`
+    /// queries instead of never.
+    ///
+    /// # Errors
+    ///
+    /// Propagates compile failures (the slot stays empty).
+    pub(crate) fn f64_amortized(
+        &self,
+        array: &McamArray,
+        metric: Metric,
+        batch: usize,
+    ) -> Result<Option<Arc<CompiledMcam<f64>>>> {
+        if let Some(plan) = lock(&self.f64_plans)[metric.index()].as_ref() {
+            return Ok(Some(Arc::clone(plan)));
+        }
+        // ORDERING: Relaxed — an amortization count, not a hand-off: a
+        // racing search can only move the compile by one batch, and
+        // both paths return bit-identical results.
+        let served = self.f64_scalar_served[metric.index()]
+            .fetch_add(batch, atomic::Ordering::Relaxed)
+            .saturating_add(batch);
+        if served < array.ladder().n_levels() {
+            return Ok(None);
+        }
+        self.plane(array, metric).map(Some)
     }
 
     /// Resident bytes of each cached plan slot, summed across metrics
@@ -652,9 +682,13 @@ impl PlanCache {
         }
     }
 
-    /// Drops every cached plan (all precisions, all metrics); the next
-    /// search recompiles.
+    /// Drops every cached plan (all precisions, all metrics) and
+    /// restarts the `f64` amortization counts; the next search
+    /// recompiles.
     pub fn invalidate(&mut self) {
+        for served in &mut self.f64_scalar_served {
+            *served.get_mut() = 0;
+        }
         *self
             .f64_plans
             .get_mut()

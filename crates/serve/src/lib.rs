@@ -13,36 +13,45 @@
 //! # Serving
 //!
 //! **Micro-batching window.** The dispatcher sleeps until a request
-//! arrives. The first search (winner or top-k) opens a batch window;
-//! the dispatcher then keeps collecting until the window holds
-//! [`ServeConfig::max_batch`] queries, the window must close (see
-//! "Deadlines" below), or a barrier request (a store, a report,
-//! shutdown) arrives — whichever comes first. The window closes, the
-//! collected winner queries execute as one
-//! [`BankedMcam::search_batch_winners_with`] sweep and the collected
-//! top-k queries as one [`BankedMcam::search_batch_top_k_with`] sweep
-//! (executed at the largest requested `k` and truncated per request —
-//! bit-identical to each request's solo answer, because a top-`k`
-//! list is a prefix of the top-`k_max` list), and every waiter is
-//! answered. Under closed-loop load the achieved batch size
-//! approaches the number of concurrent clients; an isolated request
-//! pays at most [`ServeConfig::max_wait`] of extra latency.
+//! arrives. The first search (winner or top-k) opens a batch window,
+//! and the dispatcher is *work-conserving*: it takes every search
+//! already queued, without blocking, until the window holds
+//! [`ServeConfig::max_batch`] queries or a barrier request (a store,
+//! a report, shutdown) arrives — whichever comes first. It never
+//! idles with work in hand: under the default
+//! [`ServeConfig::max_wait`] of zero the window closes as soon as the
+//! queue is empty. The window then executes: the collected winner
+//! queries run as one [`BankedMcam::search_batch_winners_with`] sweep
+//! and the collected top-k queries as one
+//! [`BankedMcam::search_batch_top_k_with`] sweep (executed at the
+//! largest requested `k` and truncated per request — bit-identical to
+//! each request's solo answer, because a top-`k` list is a prefix of
+//! the top-`k_max` list), and every waiter is answered. Batches form
+//! from the requests that queued while the previous batch executed,
+//! so under closed-loop load the achieved batch size approaches the
+//! number of concurrent clients, while a lone request on an idle
+//! server runs at once as a batch of one. A positive `max_wait` opts
+//! into holding the window open: the dispatcher then blocks for more
+//! searches until the window must close (see "Deadlines" below), and
+//! once it is due still takes what is already queued, never blocking
+//! past the close instant — an isolated request pays at most
+//! `max_wait` of extra latency.
 //!
-//! **Deadlines.** The window's default close time is `max_wait` after
-//! it opened. A request submitted through
+//! **Deadlines.** A window must close `max_wait` after it opened
+//! (at once under the default). A request submitted through
 //! [`ServeHandle::submit_with_deadline`] carries its own budget, and
 //! the window instead closes at the *earliest* deadline among the
-//! requests it holds — a tight-budget request never idles out a
-//! window on behalf of patient neighbors. A deadline bounds how long
-//! a request may sit *unexecuted*: when the dispatcher pops a request
-//! whose deadline already passed (it was queued behind stores or full
-//! windows), the request is rejected with
-//! [`ServeError::DeadlineExceeded`] instead of executing dead work;
-//! a zero budget is rejected at submission. Once a request makes it
-//! into the batch that its own deadline closes, it executes. The
+//! requests it holds, if that is sooner — a tight-budget request
+//! never idles out a window on behalf of patient neighbors. A
+//! deadline bounds how long a request may sit *unexecuted*: when the
+//! dispatcher pops a request whose deadline already passed (it was
+//! queued behind stores or full windows), the request is rejected
+//! with [`ServeError::DeadlineExceeded`] instead of executing dead
+//! work; a zero budget is rejected at submission. Once a request
+//! makes it into a window, it executes with that window. The
 //! dispatcher never re-arms its wait with a zero timeout — a due
-//! window closes immediately (see [`window timeout`](self) notes on
-//! the wait loop), so an expired window can never busy-spin.
+//! window stops blocking and only takes what is already queued, so an
+//! expired window can never busy-spin.
 //!
 //! **Backpressure policy.** Admission control is a queue-depth bound
 //! checked at [`ServeHandle::submit`]: the depth counts searches that
@@ -120,15 +129,19 @@
 //!   race-free while every other shard keeps coalescing searches —
 //!   the write never stalls the whole fleet.
 //! * **Deadline semantics vs `max_wait`.** [`ServeConfig::max_wait`]
-//!   is the *global* patience of a batching window; a per-request
-//!   deadline ([`ServeHandle::submit_with_deadline`],
+//!   is the *global* patience of a batching window — zero by default,
+//!   so a window only ever takes what is already queued; a
+//!   per-request deadline ([`ServeHandle::submit_with_deadline`],
 //!   [`ShardedHandle::submit_with_deadline`]) is one request's own
-//!   budget. The window closes at the earliest pending deadline (never
-//!   later than `max_wait`), dead-on-arrival requests are rejected
-//!   with [`ServeError::DeadlineExceeded`] instead of executing, and
-//!   on a sharded front end the same deadline instant is fanned to
-//!   every shard — if any shard cannot answer in time, the merged
-//!   request reports `DeadlineExceeded` rather than a partial merge.
+//!   budget. Under a positive `max_wait` the window stops blocking at
+//!   the earliest pending deadline (never later than `max_wait`);
+//!   either way, dead-on-arrival requests are rejected with
+//!   [`ServeError::DeadlineExceeded`] instead of executing, and on a
+//!   sharded front end the same deadline instant is fanned to every
+//!   shard — if any shard cannot answer in time, the merged request
+//!   reports `DeadlineExceeded` rather than a partial merge. Each
+//!   shard runs the same work-conserving dispatcher, so an idle shard
+//!   answers its copy of a fanned request at once.
 //!
 //! # Failure model
 //!
@@ -316,7 +329,7 @@ use std::error::Error;
 use std::fmt;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, PoisonError};
 
 use femcam_core::sync::{Condvar, Mutex, MutexGuard};
@@ -339,9 +352,16 @@ pub struct ServeConfig {
     /// the regime where the compiled executor's batch amortization has
     /// saturated on the benchmark geometry).
     pub max_batch: usize,
-    /// Upper bound on how long the dispatcher holds an open batch
-    /// window waiting for more queries (default 200 µs). Smaller
-    /// trades achieved batch size for tail latency.
+    /// How long the dispatcher may hold an open batch window blocked
+    /// waiting for more queries (default [`Duration::ZERO`]: never).
+    /// Whatever the setting, a window also takes every search already
+    /// queued when it opens or falls due, up to
+    /// [`max_batch`](Self::max_batch), without blocking — so under
+    /// load batches form from what queued during the previous
+    /// execution, and an idle server answers a lone request at once.
+    /// A positive value trades a lone request's latency for larger
+    /// batches under light load. See the
+    /// [module-level "Micro-batching window"](self#serving).
     pub max_wait: Duration,
     /// Execution precision of every served search (default
     /// [`Precision::F64`], bit-identical to the scalar physics path).
@@ -394,7 +414,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             max_batch: 64,
-            max_wait: Duration::from_micros(200),
+            max_wait: Duration::ZERO,
             precision: Precision::F64,
             queue_capacity: None,
             plan_budget_bytes: None,
@@ -1484,6 +1504,7 @@ fn auto_capacity(memory: &BankedMcam, config: &ServeConfig) -> usize {
 struct Window {
     searches: Vec<PendingSearch>,
     topks: Vec<PendingTopK>,
+    max_batch: usize,
     /// `max_wait` past the instant the window opened: the window
     /// closes by then even if no request carries a deadline.
     closes_by: Instant,
@@ -1497,6 +1518,7 @@ impl Window {
         Window {
             searches: Vec::with_capacity(max_batch),
             topks: Vec::new(),
+            max_batch,
             closes_by: Instant::now() + max_wait,
             earliest_deadline: None,
         }
@@ -1508,6 +1530,25 @@ impl Window {
 
     fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Whether the dispatcher should keep collecting: the window holds
+    /// a live search (an opener rejected as dead on arrival leaves
+    /// nothing to batch with) and is not yet full.
+    fn wants_more(&self) -> bool {
+        !self.is_empty() && self.len() < self.max_batch
+    }
+
+    /// Adds a popped search or top-k request to the window (unless it
+    /// is dead on arrival) and returns `None`; any other request is a
+    /// barrier that closes the window and is handed back.
+    fn take(&mut self, request: Request, shared: &Shared) -> Option<Request> {
+        match request {
+            Request::Search(s) => push_search(self, s, shared),
+            Request::TopK(t) => push_topk(self, t, shared),
+            barrier => return Some(barrier),
+        }
+        None
     }
 
     fn note_deadline(&mut self, deadline: Option<Instant>) {
@@ -1687,29 +1728,24 @@ fn dispatch(
                 }
                 opener @ (Request::Search(_) | Request::TopK(_)) => {
                     let mut window = Window::open(config.max_batch, config.max_wait);
-                    match opener {
-                        Request::Search(s) => push_search(&mut window, s, shared),
-                        Request::TopK(t) => push_topk(&mut window, t, shared),
-                        _ => unreachable!("opener is a search"),
-                    }
-                    while !window.is_empty() && window.len() < config.max_batch {
+                    pending = window.take(opener, shared);
+                    // While the window is open, block for more searches.
+                    // A store/report/shutdown closes the window (barrier
+                    // ordering) and runs after this batch.
+                    while pending.is_none() && window.wants_more() {
                         let Some(timeout) = window.timeout() else {
-                            break; // window due: execute, never spin
+                            break; // window due: never re-arm a zero wait
                         };
                         match rx.recv_timeout(timeout) {
-                            Ok(Request::Search(s)) => push_search(&mut window, s, shared),
-                            Ok(Request::TopK(t)) => push_topk(&mut window, t, shared),
-                            // A store/report/shutdown closes the window
-                            // (barrier ordering) and runs after this
-                            // batch.
-                            Ok(other) => {
-                                pending = Some(other);
-                                break;
-                            }
-                            Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => {
-                                break
-                            }
+                            Ok(request) => pending = window.take(request, shared),
+                            Err(_) => break,
                         }
+                    }
+                    // Once it is due, take what is already queued without
+                    // blocking: work-conserving, with no clock read.
+                    while pending.is_none() && window.wants_more() {
+                        let Ok(request) = rx.try_recv() else { break };
+                        pending = window.take(request, shared);
                     }
                     if let Err(BatchPanic { tripped }) =
                         execute_window(&memory, window, shared, config.precision, &mut breaker)
@@ -2153,6 +2189,27 @@ mod tests {
         // (a zero recv_timeout would spin the dispatcher at full CPU).
         assert_eq!(window_timeout(now, now), None);
         assert_eq!(window_timeout(now, now + Duration::from_millis(1)), None);
+    }
+
+    #[test]
+    fn lone_request_on_idle_default_server_runs_as_batch_of_one() {
+        let rows = [[0u8, 1, 2, 3], [7, 7, 7, 7]];
+        let direct = memory_with_rows(&rows);
+        let config = ServeConfig::default();
+        assert_eq!(config.max_wait, Duration::ZERO);
+        let server = McamServer::start(memory_with_rows(&rows), config);
+        let handle = server.handle();
+        // Each request is alone in the queue when it arrives: it runs
+        // at once, as its own batch, with nothing to wait for.
+        for (i, query) in [[0u8, 1, 2, 3], [7, 7, 6, 7]].iter().enumerate() {
+            let got = handle.search(query).unwrap();
+            let want = direct_winner(&direct, query);
+            assert_eq!(got.0, want.0);
+            assert_eq!(got.1.to_bits(), want.1.to_bits());
+            let stats = server.stats();
+            assert_eq!(stats.batches, i as u64 + 1);
+            assert_eq!(stats.max_batch, 1);
+        }
     }
 
     #[test]

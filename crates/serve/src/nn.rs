@@ -18,21 +18,22 @@ use crate::{
 
 /// How long `query_batch` waits out a queue saturated by traffic that
 /// is not its own before propagating the overload to the caller —
-/// time-based (many batching windows), so the patience always spans
+/// time-based (many batch executions), so the patience always spans
 /// several batch drains regardless of how fast the retry loop spins.
 const OVERLOAD_PATIENCE: Duration = Duration::from_millis(50);
 
-/// First retry sleep while waiting out foreign overload: a fraction of
-/// the default batching window, so a freed admission slot is picked up
-/// promptly. Subsequent retries back off exponentially (doubling up to
-/// [`OVERLOAD_BACKOFF_MAX`]) instead of hammering a queue that stayed
-/// saturated — a saturated dispatcher drains in batch-window units, so
-/// constant-rate resubmission is pure contention.
+/// First retry sleep while waiting out foreign overload: shorter than
+/// one full batch takes to execute, so a freed admission slot is
+/// picked up promptly. Subsequent retries back off exponentially
+/// (doubling up to [`OVERLOAD_BACKOFF_MAX`]) instead of hammering a
+/// queue that stayed saturated — a saturated dispatcher frees slots
+/// one executed batch at a time, so constant-rate resubmission is
+/// pure contention.
 const OVERLOAD_BACKOFF_START: Duration = Duration::from_micros(50);
 
-/// Bounded-backoff ceiling: a few batching windows, so even maximal
-/// backoff still probes the queue several times within
-/// [`OVERLOAD_PATIENCE`].
+/// Bounded-backoff ceiling: on the order of one full batch's
+/// execution, so even maximal backoff still probes the queue many
+/// times within [`OVERLOAD_PATIENCE`].
 const OVERLOAD_BACKOFF_MAX: Duration = Duration::from_millis(2);
 
 /// Seeds for per-call-site backoff RNGs: a plain counter, so every
@@ -437,8 +438,8 @@ impl NnIndex for ServedNn {
                     } else {
                         // Foreign traffic saturates the queue with none
                         // of our own work outstanding: back off
-                        // exponentially (bounded at a few batching
-                        // windows) instead of hammering the saturated
+                        // exponentially (bounded at about one batch
+                        // execution) instead of hammering the saturated
                         // queue, and give up once the patience budget
                         // is spent — surfacing how long the queue
                         // stayed saturated.

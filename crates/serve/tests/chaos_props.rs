@@ -23,6 +23,9 @@
 //!    bit-identity gate, and post-resurrection answers are bitwise
 //!    identical to the full-sweep oracle. Store traffic racing the
 //!    re-admit lifecycle loses no row from merges or router buckets.
+//! 6. **Work-conserving windows** — searches that queued while the
+//!    default dispatcher was busy execute together as one batch,
+//!    bit-identically to the direct batched search.
 //!
 //! Proptest case counts are tunable via the `FEMCAM_CHAOS_CASES` env
 //! knob (CI smoke runs use a small value; soak runs can raise it).
@@ -180,6 +183,64 @@ fn dispatcher_heals_and_post_heal_results_are_bit_identical() {
     assert_eq!(handle.search(&probe).expect("healed"), healthy);
     let recovered = server.shutdown().expect("clean shutdown after healing");
     assert_eq!(recovered.n_rows(), 8);
+    assert_no_lock_order_cycles();
+}
+
+/// Contract 6: a sure store delay holds a default-config dispatcher
+/// while `N < max_batch` searches queue behind the store. Once the
+/// store lands, the first search opens a window that takes every other
+/// one already queued — no `max_wait`, no timing luck — so all `N`
+/// execute as one batch, bit-identical to the direct batched search.
+#[test]
+fn default_dispatcher_coalesces_searches_queued_behind_a_store() {
+    const N: usize = 12;
+    let (memory, mut shadow) = seeded_pair(8, 47);
+    let plan = FaultPlan::armed(
+        13,
+        vec![FaultRule::sure(
+            FaultSite::Store,
+            FaultKind::Delay(Duration::from_millis(300)),
+            1,
+        )],
+    );
+    let config = ServeConfig {
+        faults: Some(plan.clone()),
+        ..ServeConfig::default()
+    };
+    assert!(N < config.max_batch);
+    let server = McamServer::start(memory, config);
+    let handle = server.handle();
+    let word = gen_word(47, 100);
+    let writer = {
+        let handle = handle.clone();
+        let word = word.clone();
+        thread::spawn(move || handle.store(&word))
+    };
+    // The delay fires once the dispatcher is inside the store.
+    while plan.injected(FaultSite::Store) == 0 {
+        thread::yield_now();
+    }
+    let batches_before = server.stats().batches;
+    let queries: Vec<Vec<u8>> = (0..N).map(|i| gen_word(47, 200 + i)).collect();
+    let tickets: Vec<_> = queries
+        .iter()
+        .map(|q| handle.submit(q).expect("admitted"))
+        .collect();
+    let row = writer.join().expect("writer thread").expect("store");
+    assert_eq!(row, shadow.store(&word).expect("shadow store"));
+    let refs: Vec<&[u8]> = queries.iter().map(Vec::as_slice).collect();
+    let direct = shadow
+        .search_batch_winners_with(&refs, Precision::F64)
+        .expect("direct");
+    for (ticket, want) in tickets.into_iter().zip(&direct) {
+        let (row, score) = ticket.wait().expect("answered");
+        assert_eq!(row, want.0);
+        assert_eq!(score.to_bits(), want.1.to_bits());
+    }
+    let stats = server.stats();
+    assert_eq!(stats.batches, batches_before + 1, "queued searches split");
+    assert_eq!(stats.max_batch, N);
+    server.shutdown().expect("clean shutdown");
     assert_no_lock_order_cycles();
 }
 

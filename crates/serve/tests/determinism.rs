@@ -12,6 +12,10 @@
 //! 3. **Concurrent burst coalescing** — a burst of tickets submitted
 //!    before any waits still answers each request bit-identically, in
 //!    submission order.
+//!
+//! Each property runs once with an explicit `max_wait` window and once
+//! with the shipped [`ServeConfig::default()`] (work-conserving
+//! windows that only take what is already queued).
 
 use std::time::Duration;
 
@@ -42,6 +46,99 @@ fn gen_word(word_len: usize, n_levels: usize, seed: u64, salt: usize) -> Vec<u8>
         .collect()
 }
 
+/// Applies an interleaved store/search sequence through a server
+/// started with `config` and, step by step, directly to a shadow
+/// memory: every served result must be bit-identical to the shadow's.
+fn interleaved_matches_shadow(
+    config: ServeConfig,
+    bits: u8,
+    word_len: usize,
+    rows_per_bank: usize,
+    seed: u64,
+    ops: &[bool],
+) -> Result<(), String> {
+    let precision = config.precision;
+    let n_levels = 1usize << bits;
+    let memory = empty_memory(bits, word_len, rows_per_bank);
+    let mut shadow = empty_memory(bits, word_len, rows_per_bank);
+    let server = McamServer::start(memory, config);
+    let handle = server.handle();
+    // Seed one row so searches are well-defined from the start.
+    let first = gen_word(word_len, n_levels, seed, 0);
+    prop_assert_eq!(handle.store(&first).expect("store"), 0);
+    shadow.store(&first).expect("shadow store");
+    for (i, is_store) in ops.iter().enumerate() {
+        let word = gen_word(word_len, n_levels, seed, i + 1);
+        if *is_store {
+            // The acknowledged store must land at the same global
+            // row as the shadow's, and is visible to the very next
+            // search.
+            let served_row = handle.store(&word).expect("served store");
+            let shadow_row = shadow.store(&word).expect("shadow store");
+            prop_assert_eq!(served_row, shadow_row);
+        } else {
+            let served = handle.search(&word).expect("served search");
+            let direct = shadow
+                .search_batch_winners_with(&[&word[..]], precision)
+                .expect("direct search")[0];
+            prop_assert_eq!(served.0, direct.0, "winning row diverged");
+            prop_assert_eq!(
+                served.1.to_bits(),
+                direct.1.to_bits(),
+                "conductance not bit-identical"
+            );
+        }
+    }
+    let memory = server.shutdown().unwrap();
+    prop_assert_eq!(memory.n_rows(), shadow.n_rows());
+    Ok(())
+}
+
+/// Submits a burst of searches to a server started with `config`
+/// before waiting on any, then checks each ticket against a direct
+/// search, in submission order.
+fn burst_matches_direct(
+    config: ServeConfig,
+    bits: u8,
+    word_len: usize,
+    n_rows: usize,
+    rows_per_bank: usize,
+    burst: usize,
+    seed: u64,
+) -> Result<(), String> {
+    let precision = config.precision;
+    let n_levels = 1usize << bits;
+    let mut memory = empty_memory(bits, word_len, rows_per_bank);
+    let mut shadow = empty_memory(bits, word_len, rows_per_bank);
+    for i in 0..n_rows {
+        let word = gen_word(word_len, n_levels, seed, i);
+        memory.store(&word).expect("store");
+        shadow.store(&word).expect("shadow store");
+    }
+    let server = McamServer::start(memory, config);
+    let handle = server.handle();
+    let queries: Vec<Vec<u8>> = (0..burst)
+        .map(|i| gen_word(word_len, n_levels, seed ^ 0xA5A5, i))
+        .collect();
+    // Submit everything before waiting on anything: the dispatcher
+    // is free to slice this into any batch composition.
+    let tickets: Vec<_> = queries
+        .iter()
+        .map(|q| handle.submit(q).expect("admitted"))
+        .collect();
+    for (query, ticket) in queries.iter().zip(tickets) {
+        let served = ticket.wait().expect("answered");
+        let direct = shadow
+            .search_batch_winners_with(&[&query[..]], precision)
+            .expect("direct")[0];
+        prop_assert_eq!(served.0, direct.0);
+        prop_assert_eq!(served.1.to_bits(), direct.1.to_bits());
+    }
+    let stats = server.stats();
+    prop_assert_eq!(stats.queries, burst as u64);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -57,43 +154,31 @@ proptest! {
         seed in 0u64..500,
         ops in proptest::collection::vec(any::<bool>(), 4..24),
     ) {
-        let precision = precision_from(precision_tag);
-        let n_levels = 1usize << bits;
-        let memory = empty_memory(bits, word_len, rows_per_bank);
-        let mut shadow = empty_memory(bits, word_len, rows_per_bank);
-        let server = McamServer::start(memory, ServeConfig {
+        let config = ServeConfig {
             max_batch: 4,
             max_wait: Duration::from_micros(50),
-            precision,
+            precision: precision_from(precision_tag),
             ..ServeConfig::default()
-        });
-        let handle = server.handle();
-        // Seed one row so searches are well-defined from the start.
-        let first = gen_word(word_len, n_levels, seed, 0);
-        prop_assert_eq!(handle.store(&first).expect("store"), 0);
-        shadow.store(&first).expect("shadow store");
-        for (i, is_store) in ops.iter().enumerate() {
-            let word = gen_word(word_len, n_levels, seed, i + 1);
-            if *is_store {
-                // The acknowledged store must land at the same global
-                // row as the shadow's, and is visible to the very next
-                // search.
-                let served_row = handle.store(&word).expect("served store");
-                let shadow_row = shadow.store(&word).expect("shadow store");
-                prop_assert_eq!(served_row, shadow_row);
-            } else {
-                let served = handle.search(&word).expect("served search");
-                let direct = shadow.search_batch_winners_with(&[&word[..]], precision).expect("direct search")[0];
-                prop_assert_eq!(served.0, direct.0, "winning row diverged");
-                prop_assert_eq!(
-                    served.1.to_bits(),
-                    direct.1.to_bits(),
-                    "conductance not bit-identical"
-                );
-            }
-        }
-        let memory = server.shutdown().unwrap();
-        prop_assert_eq!(memory.n_rows(), shadow.n_rows());
+        };
+        interleaved_matches_shadow(config, bits, word_len, rows_per_bank, seed, &ops)?;
+    }
+
+    /// The same interleaving through the shipped default configuration
+    /// (work-conserving windows, no `max_wait`), at every precision.
+    #[test]
+    fn default_config_bit_identical_under_interleaved_stores(
+        bits in 2u8..=3,
+        word_len in 1usize..6,
+        rows_per_bank in 1usize..6,
+        precision_tag in 0u8..3,
+        seed in 0u64..500,
+        ops in proptest::collection::vec(any::<bool>(), 4..24),
+    ) {
+        let config = ServeConfig {
+            precision: precision_from(precision_tag),
+            ..ServeConfig::default()
+        };
+        interleaved_matches_shadow(config, bits, word_len, rows_per_bank, seed, &ops)?;
     }
 
     /// A burst of in-flight submissions — the composition the
@@ -109,43 +194,37 @@ proptest! {
         burst in 1usize..24,
         seed in 0u64..500,
     ) {
-        let precision = precision_from(precision_tag);
-        let n_levels = 1usize << bits;
-        let mut memory = empty_memory(bits, word_len, rows_per_bank);
-        let mut shadow = empty_memory(bits, word_len, rows_per_bank);
-        for i in 0..n_rows {
-            let word = gen_word(word_len, n_levels, seed, i);
-            memory.store(&word).expect("store");
-            shadow.store(&word).expect("shadow store");
-        }
-        let server = McamServer::start(memory, ServeConfig {
+        let config = ServeConfig {
             max_batch: 8,
             max_wait: Duration::from_micros(100),
-            precision,
+            precision: precision_from(precision_tag),
             // The whole burst must be admissible at once; the default
             // capacity is sized for this box's worker count, which can
             // be below the largest generated burst.
             queue_capacity: Some(64),
             ..ServeConfig::default()
-        });
-        let handle = server.handle();
-        let queries: Vec<Vec<u8>> = (0..burst)
-            .map(|i| gen_word(word_len, n_levels, seed ^ 0xA5A5, i))
-            .collect();
-        // Submit everything before waiting on anything: the dispatcher
-        // is free to slice this into any batch composition.
-        let tickets: Vec<_> = queries
-            .iter()
-            .map(|q| handle.submit(q).expect("admitted"))
-            .collect();
-        for (query, ticket) in queries.iter().zip(tickets) {
-            let served = ticket.wait().expect("answered");
-            let direct = shadow.search_batch_winners_with(&[&query[..]], precision).expect("direct")[0];
-            prop_assert_eq!(served.0, direct.0);
-            prop_assert_eq!(served.1.to_bits(), direct.1.to_bits());
-        }
-        let stats = server.stats();
-        prop_assert_eq!(stats.queries, burst as u64);
+        };
+        burst_matches_direct(config, bits, word_len, n_rows, rows_per_bank, burst, seed)?;
+    }
+
+    /// The same burst through the shipped default configuration: the
+    /// default admission capacity (at least one 64-query batch) admits
+    /// the whole burst.
+    #[test]
+    fn default_config_burst_is_bit_identical_per_request(
+        bits in 2u8..=3,
+        word_len in 1usize..6,
+        n_rows in 1usize..20,
+        rows_per_bank in 1usize..6,
+        precision_tag in 0u8..3,
+        burst in 1usize..24,
+        seed in 0u64..500,
+    ) {
+        let config = ServeConfig {
+            precision: precision_from(precision_tag),
+            ..ServeConfig::default()
+        };
+        burst_matches_direct(config, bits, word_len, n_rows, rows_per_bank, burst, seed)?;
     }
 }
 

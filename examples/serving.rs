@@ -35,11 +35,12 @@ fn main() -> femcam_core::Result<()> {
         shadow.store(&word)?;
     }
 
-    // 2. Start the server: codes-mode execution, a 200 µs batching
-    //    window, and a plan-memory budget to report against.
+    // 2. Start the server: codes-mode execution, the default
+    //    work-conserving window (each batch takes what queued while the
+    //    last one ran; nothing waits on an idle server), and a
+    //    plan-memory budget to report against.
     let config = ServeConfig {
         max_batch: 64,
-        max_wait: Duration::from_micros(200),
         precision: Precision::Codes,
         plan_budget_bytes: Some(64 * 1024 * 1024),
         ..ServeConfig::default()
@@ -144,7 +145,6 @@ fn main() -> femcam_core::Result<()> {
         4,
         ServeConfig {
             max_batch: 64,
-            max_wait: Duration::from_micros(200),
             precision: Precision::Codes,
             ..ServeConfig::default()
         },

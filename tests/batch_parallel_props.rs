@@ -143,9 +143,10 @@ proptest! {
                 .expect("banked winners")
         };
         // Batches of `threads` queries (fewer than the 8 ladder levels)
-        // on a cold cache take the scalar per-bank sweep...
+        // on a cold cache take the scalar per-bank sweep until 8 queries
+        // in all have gone that way; the batch that reaches 8 compiles...
         let cold: Vec<(usize, f64)> = refs.chunks(threads).flat_map(&winners).collect();
-        prop_assert_eq!(banked.plan_memory_bytes().f64_plane, 0);
+        prop_assert_eq!(banked.plan_memory_bytes().f64_plane > 0, refs.len() >= 8);
         // ...a batch of at least 8 compiles the per-bank plans...
         let padded: Vec<&[u8]> = refs.iter().copied().cycle().take(refs.len().max(8)).collect();
         let compiled = winners(&padded);

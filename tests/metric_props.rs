@@ -18,7 +18,8 @@
 //!    banked (lowest *global* row).
 //! 4. **Per-`(precision, metric)` cache invalidation** — interleaved
 //!    stores invalidate every metric's cached plan, so each search sees
-//!    the latest contents bit-identically to a fresh scalar oracle.
+//!    the latest contents bit-identically to a fresh scalar oracle; a
+//!    cold `f64` cache warms after `n_levels` batch-1 searches.
 //! 5. **Banked/masked parity** — banked full-sweep and masked winners
 //!    and top-k match the flat oracle restricted to the masked banks'
 //!    global rows, per metric.
@@ -348,6 +349,67 @@ proptest! {
                     prop_assert_eq!(hit.conductance(hit.best_row()), 0.0);
                 }
             }
+        }
+    }
+
+    /// Batch-1 `f64` searches on a cold cache run the scalar fallback
+    /// until `n_levels` of them have gone that way since the last store:
+    /// the `n_levels`-th compiles the plan (flat array and every bank of
+    /// a banked memory), and a store sends the dirty cache through the
+    /// same warm-up again. Every answer, scalar or compiled, is
+    /// bit-identical to the scalar per-metric oracle.
+    #[test]
+    fn small_f64_batches_warm_a_cold_plan_after_n_levels_queries(
+        bits in 2u8..=3,
+        word_len in 1usize..6,
+        n_rows in 1usize..12,
+        rows_per_bank in 1usize..5,
+        metric_sel in 0usize..4,
+        seed in 0u64..500,
+    ) {
+        let n_levels = 1usize << bits;
+        let metric = Metric::ALL[metric_sel];
+        let f64_spec = spec(Precision::F64, metric);
+        let rows: Vec<Vec<u8>> =
+            (0..n_rows).map(|i| gen_word(word_len, n_levels, seed, i)).collect();
+        let mut flat = build_array(bits, word_len, &rows, 0.0, seed);
+        let ladder = LevelLadder::new(bits).expect("ladder");
+        let lut = ConductanceLut::from_device(&FefetModel::default(), &ladder);
+        let mut banked = BankedMcam::new(ladder, lut, word_len, rows_per_bank);
+        for r in &rows {
+            banked.store(r).expect("store");
+        }
+        for round in 0..2 {
+            if round == 1 {
+                let word = gen_word(word_len, n_levels, seed, 999);
+                flat.store(&word).expect("store");
+                banked.store(&word).expect("store");
+            }
+            // Plan bytes while the dirty caches are cold: nothing for
+            // the flat array, the untouched banks' warm plans for the
+            // banked memory.
+            let (flat_cold, banked_cold) =
+                (flat.plan_memory_bytes().total(), banked.plan_memory_bytes().total());
+            prop_assert_eq!(flat_cold, 0);
+            for i in 0..n_levels {
+                prop_assert_eq!(flat.plan_memory_bytes().total(), flat_cold);
+                prop_assert_eq!(banked.plan_memory_bytes().total(), banked_cold);
+                let q = gen_word(word_len, n_levels, seed, 100 * round + i);
+                let oracle = flat.search_metric(&q, metric).expect("oracle");
+                let got = search_one(&flat, &q, f64_spec);
+                prop_assert_eq!(got.conductances(), oracle.conductances());
+                let winner = banked
+                    .search_batch_winners_with(&[&q], f64_spec)
+                    .expect("banked")[0];
+                let (want_row, want) = oracle_winner(&oracle);
+                prop_assert_eq!(winner.0, want_row);
+                prop_assert_eq!(winner.1.to_bits(), want.to_bits());
+            }
+            prop_assert!(flat.plan_memory_bytes().total() > 0, "flat plan stayed cold");
+            prop_assert!(
+                banked.plan_memory_bytes().total() > banked_cold,
+                "dirty bank stayed cold"
+            );
         }
     }
 
