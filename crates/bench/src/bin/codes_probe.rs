@@ -1,7 +1,9 @@
 //! Micro-probe for the packed-code kernel: times the f32 plane plan
 //! against the codes plan on one flat sweep-geometry array, per batch
 //! size, so kernel work (no banking, no merge) can be compared in
-//! isolation while tuning tile/block constants.
+//! isolation while tuning tile/block constants. The sweep starts at a
+//! batch of one, the batch a work-conserving server runs at low load,
+//! and reports ns per cell (row × column) beside ns per query.
 //!
 //! ```sh
 //! cargo run --release -p femcam-bench --bin codes_probe
@@ -49,7 +51,8 @@ fn main() {
         plan32.plan_bytes(),
         codes.plan_bytes()
     );
-    for batch in [64usize, 256, 1024] {
+    let cells = (ROWS * WORD_LEN) as f64;
+    for batch in [1usize, 2, 4, 8, 64, 256, 1024] {
         let refs: Vec<&[u8]> = queries[..batch].iter().map(|q| q.as_slice()).collect();
         let ns32 = time_per_query(batch, || {
             std::hint::black_box(plan32.search_batch_winners(&refs, 1).unwrap());
@@ -58,7 +61,9 @@ fn main() {
             std::hint::black_box(codes.search_batch_winners(&refs, 1).unwrap());
         });
         println!(
-            "batch {batch:4}: f32 {ns32:9.0} ns/q  codes {ns_codes:9.0} ns/q  ratio {:.2}x",
+            "batch {batch:4}: f32 {ns32:9.0} ns/q {:.3} ns/cell  codes {ns_codes:9.0} ns/q {:.3} ns/cell  ratio {:.2}x",
+            ns32 / cells,
+            ns_codes / cells,
             ns32 / ns_codes
         );
     }

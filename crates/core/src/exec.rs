@@ -35,7 +35,7 @@
 //! The batched kernel is cache-tiled: rows advance in panels sized so
 //! one plane-column slice stays L1-resident while it serves every query
 //! in the block, and each worker thread owns one reusable
-//! [`BatchScratch`] of accumulators and top-k heap storage — the hot
+//! `BatchScratch` of accumulators and top-k heap storage — the hot
 //! path performs **no per-query heap allocation**.
 //!
 //! # Precision modes
@@ -81,6 +81,23 @@
 //! `table[code[row]]` gather-accumulate, streaming 1 byte per cell
 //! where the `f32` planes stream 4 and the `f64` planes 8×`n_levels`
 //! resident.
+//!
+//! On x86-64 with AVX2 and ladders up to 3 bits (the paper's headline
+//! configuration), the gather table is one 8-lane vector register and
+//! the loop is **shift-and-permute**. One 256-bit load brings in 32
+//! codes, so dword lane `j` holds rows `4j..4j+3`, one per byte.
+//! `vpermps` reads only the low 3 bits of each index lane, so the raw
+//! vector gathers rows `4j` and the vector shifted right by 8, 16 and
+//! 24 bits gathers rows `4j+1..4j+3`: one load, three shifts, four
+//! permutes and four adds per 32 cells, with no widening of codes to
+//! dword indices. Running sums for 64 rows stay in registers across the
+//! column sweep, and one 4×8 in-register transpose per 32 rows puts
+//! them back in row order. A query costs the same per cell whether it
+//! runs alone or in a batch: a batch block runs the same per-query
+//! loop over an L1-sized row tile for each of its queries. Other
+//! ladders and CPUs take the portable path, which gathers each
+//! `(column, level)` micro-plane a block needs once and then sums the
+//! micro-planes per query.
 //!
 //! **Exactness contract:** on shared-LUT arrays the gathered values are
 //! the very same `f32` roundings the `f32` planes hold, and each row
@@ -744,8 +761,9 @@ impl std::ops::AddAssign for PlanMemoryBytes {
 #[derive(Debug)]
 struct BatchScratch<S> {
     acc: Vec<S>,
-    /// Kernel-private auxiliary slab (the codes kernel's per-block
-    /// level-expansion panel); plane kernels leave it empty.
+    /// Kernel-private auxiliary slab: the portable codes path's
+    /// per-tile level-expansion panel. The AVX2 codes loop and the
+    /// plane kernels leave it empty.
     aux: Vec<S>,
     heap: BinaryHeap<(TotalF64, usize)>,
     sorted: Vec<(TotalF64, usize)>,
@@ -884,10 +902,10 @@ const CODES_EXPAND_BUDGET_BYTES: usize = 512 * 1024;
 /// never spills the accumulator.
 const SERVE_SUB: usize = 32;
 
-/// Bytes of one widened-index tile slab in the AVX2 codes fast path
-/// (`word_len × tile` dword indices): sized to stay L1-resident while
-/// every query in the block reads it back.
-const CODES_IDX_SLAB_BYTES: usize = 16 * 1024;
+/// Rows per register group of the AVX2 codes loop ([`codes_group`]):
+/// two 32-code loads per column, eight independent running sums to
+/// hide the `f32` fold latency.
+const CODES_GROUP_ROWS: usize = 64;
 
 /// The vector face of [`PlaneScalar::fold`]: Sum or Max across eight
 /// lanes, selected at monomorphization time. `#[inline(always)]` (and
@@ -912,6 +930,78 @@ unsafe fn fold_ps<const MAX: bool>(
     } else {
         _mm256_add_ps(a, b)
     }
+}
+
+/// One register group of the AVX2 codes loop (see
+/// [`CompiledCodes::accumulate_query_avx2`]): folds `32 × HALVES` rows
+/// over every column of `query` and returns their sums in row order,
+/// eight rows per vector. `load(c, h)` yields the 32 codes of half `h`
+/// in column `c`.
+///
+/// Per half, sum `k` folds the LUT entries that the codes vector
+/// shifted right by `8·k` bits selects, so its lane `j` is row
+/// `4j + k`; a row's own fold stays one serial `f32` chain, as
+/// bit-identity requires. After the sweep a 4×8 in-register transpose
+/// puts each half's sums back in row order.
+///
+/// # Safety
+///
+/// Caller must have AVX2 enabled and `load` must be sound for every
+/// `(c, h)` with `c < query.len()`, `h < HALVES`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+// SAFETY: pure register arithmetic apart from `load`, whose soundness
+// is the caller's obligation; `level & 7` keeps the table index in
+// range, and `vpermps` reads only 3 bits per index lane, so any code
+// byte is a valid permute index.
+unsafe fn codes_group<const MAX: bool, const HALVES: usize>(
+    tables: &[std::arch::x86_64::__m256; 8],
+    query: &[u8],
+    load: impl Fn(usize, usize) -> std::arch::x86_64::__m256i,
+) -> [[std::arch::x86_64::__m256; 4]; HALVES] {
+    use std::arch::x86_64::*;
+    let mut sums = [[_mm256_setzero_ps(); 4]; HALVES];
+    for (c, &level) in query.iter().enumerate() {
+        let table = tables[usize::from(level & 7)];
+        for (h, sum) in sums.iter_mut().enumerate() {
+            let v = load(c, h);
+            sum[0] = fold_ps::<MAX>(sum[0], _mm256_permutevar8x32_ps(table, v));
+            sum[1] = fold_ps::<MAX>(
+                sum[1],
+                _mm256_permutevar8x32_ps(table, _mm256_srli_epi32::<8>(v)),
+            );
+            sum[2] = fold_ps::<MAX>(
+                sum[2],
+                _mm256_permutevar8x32_ps(table, _mm256_srli_epi32::<16>(v)),
+            );
+            sum[3] = fold_ps::<MAX>(
+                sum[3],
+                _mm256_permutevar8x32_ps(table, _mm256_srli_epi32::<24>(v)),
+            );
+        }
+    }
+    // Per 128-bit lane a 4×4 transpose gathers rows `4j..4j+3` into
+    // one quarter; the cross-lane permute pairs the quarters. (In place,
+    // not `array::map`: a closure defined outside a `target_feature`
+    // function would not inline the intrinsics.)
+    for half in &mut sums {
+        let [a0, a1, a2, a3] = *half;
+        let t0 = _mm256_unpacklo_ps(a0, a1);
+        let t1 = _mm256_unpackhi_ps(a0, a1);
+        let t2 = _mm256_unpacklo_ps(a2, a3);
+        let t3 = _mm256_unpackhi_ps(a2, a3);
+        let u0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+        let u1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+        let u2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+        let u3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+        *half = [
+            _mm256_permute2f128_ps::<0x20>(u0, u1),
+            _mm256_permute2f128_ps::<0x20>(u2, u3),
+            _mm256_permute2f128_ps::<0x31>(u0, u1),
+            _mm256_permute2f128_ps::<0x31>(u2, u3),
+        ];
+    }
+    sums
 }
 
 impl<S: PlaneScalar> CompiledMcam<S> {
@@ -1126,8 +1216,9 @@ pub(crate) trait BlockKernel: Sync {
     /// Accumulates a block of (validated) queries into `acc`, laid out
     /// query-major (`acc[q * n_rows + row]`), folding each row's
     /// conductances in ascending column order. `aux` is kernel-private
-    /// reusable scratch (the codes kernel's level-expansion panel);
-    /// kernels that need none ignore it.
+    /// reusable scratch: only the portable codes path uses it, for its
+    /// level-expansion panel; the AVX2 codes loop and the plane kernels
+    /// ignore it.
     fn accumulate_block(&self, queries: &[&[u8]], acc: &mut [Self::Acc], aux: &mut Vec<Self::Acc>);
 
     /// Thread-gating cost of one query against this kernel, in
@@ -1480,7 +1571,9 @@ impl CompiledCodes {
     /// Queries per grouped batch block. Much larger than the plane
     /// kernel's blocks on purpose: the per-tile expansion slab is
     /// rebuilt once per block, so reuse (≈ `block_len / n_levels` adds
-    /// per expanded cell) is what pays for the gather.
+    /// per expanded cell) is what pays for the gather. The AVX2 loop
+    /// has no per-block setup; for it the block only sizes the
+    /// accumulator panel.
     fn block_len(&self) -> usize {
         (ACC_BUDGET_BYTES / (self.row_tile() * std::mem::size_of::<f32>()).max(1)).clamp(1, 256)
     }
@@ -1501,12 +1594,18 @@ impl CompiledCodes {
         }
     }
 
-    /// The AVX2 serve loop: the query level's whole LUT row lives in
-    /// one vector register, so eight stored codes gather through it
-    /// with a single lane permute — one load + one permute + one add
-    /// per eight cells, no expansion slab, 1 byte of plan traffic per
-    /// cell. Running sums for 32 rows stay in registers across the
-    /// whole column sweep.
+    /// The AVX2 serve loop, shift-and-permute. The query level's whole
+    /// LUT row lives in one vector register. One 256-bit load brings in
+    /// 32 stored codes, so dword lane `j` holds rows `4j..4j+3`, one
+    /// per byte. `vpermps` reads only bits [2:0] of each index lane:
+    /// the raw vector gathers rows `4j`, and the vector shifted right by
+    /// 8, 16 and 24 bits gathers rows `4j+1`, `4j+2` and `4j+3`. No
+    /// byte-to-dword widen runs, so per 32 cells the loop costs one
+    /// load, three shifts (off the shuffle port), four permutes and
+    /// four folds, at any batch size. Running sums for
+    /// [`CODES_GROUP_ROWS`] rows stay in registers across the whole
+    /// column sweep ([`codes_group`]); a group of fewer rows than that
+    /// at the end runs the same loop on zero-padded loads.
     ///
     /// Per row the fold is the same ascending-column sequence of `f32`
     /// adds over the same LUT roundings as the scalar path, so results
@@ -1520,14 +1619,14 @@ impl CompiledCodes {
     /// `row_start + out.len() <= n_rows`.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    // SAFETY: inside the body, every raw load is in bounds under the
+    // SAFETY: inside the body, every raw access is in bounds under the
     // caller contract: `lut_stride == 8` pads each level's LUT row to
-    // exactly the 8 lanes one `_mm256_loadu_ps` reads; query levels
-    // `< n_levels` keep the `tables` index in range; and
-    // `row_start + out.len() <= n_rows` bounds every
-    // `codes.add(c * n + row_start + s)` within the column-major codes
-    // slab. All loads/stores are `loadu`/`storeu`, so no alignment
-    // obligation beyond validity.
+    // exactly the 8 lanes one `_mm256_loadu_ps` reads, and
+    // `row_start + out.len() <= n_rows` keeps each window of rows
+    // `s..s + 64` (full groups) or `s..s + rows` (padded loads, which
+    // copy exactly `rows` bytes) inside every column `c` of the
+    // column-major codes slab and inside `out`. All vector loads and
+    // stores are unaligned, so validity is the only pointer obligation.
     unsafe fn accumulate_query_avx2<const MAX: bool>(
         &self,
         query: &[u8],
@@ -1535,170 +1634,68 @@ impl CompiledCodes {
         out: &mut [f32],
     ) {
         use std::arch::x86_64::*;
-        let n = self.n_rows;
-        let len = out.len();
         let mut tables = [_mm256_setzero_ps(); 8];
         for (level, table) in tables.iter_mut().enumerate().take(self.n_levels) {
             *table = _mm256_loadu_ps(self.lut.as_ptr().add(level * 8));
         }
-        let codes = self.codes.as_ptr();
-        let out_ptr = out.as_mut_ptr();
-        let mut s = 0usize;
-        while s + 32 <= len {
-            let mut a0 = _mm256_setzero_ps();
-            let mut a1 = _mm256_setzero_ps();
-            let mut a2 = _mm256_setzero_ps();
-            let mut a3 = _mm256_setzero_ps();
-            for (c, &level) in query.iter().enumerate() {
-                let table = tables[level as usize];
-                let base = codes.add(c * n + row_start + s);
-                let i0 = _mm256_cvtepu8_epi32(_mm_loadl_epi64(base.cast()));
-                let i1 = _mm256_cvtepu8_epi32(_mm_loadl_epi64(base.add(8).cast()));
-                let i2 = _mm256_cvtepu8_epi32(_mm_loadl_epi64(base.add(16).cast()));
-                let i3 = _mm256_cvtepu8_epi32(_mm_loadl_epi64(base.add(24).cast()));
-                a0 = fold_ps::<MAX>(a0, _mm256_permutevar8x32_ps(table, i0));
-                a1 = fold_ps::<MAX>(a1, _mm256_permutevar8x32_ps(table, i1));
-                a2 = fold_ps::<MAX>(a2, _mm256_permutevar8x32_ps(table, i2));
-                a3 = fold_ps::<MAX>(a3, _mm256_permutevar8x32_ps(table, i3));
-            }
-            _mm256_storeu_ps(out_ptr.add(s), a0);
-            _mm256_storeu_ps(out_ptr.add(s + 8), a1);
-            _mm256_storeu_ps(out_ptr.add(s + 16), a2);
-            _mm256_storeu_ps(out_ptr.add(s + 24), a3);
-            s += 32;
-        }
-        while s + 8 <= len {
-            let mut a = _mm256_setzero_ps();
-            for (c, &level) in query.iter().enumerate() {
-                let table = tables[level as usize];
-                let base = codes.add(c * n + row_start + s);
-                let idx = _mm256_cvtepu8_epi32(_mm_loadl_epi64(base.cast()));
-                a = fold_ps::<MAX>(a, _mm256_permutevar8x32_ps(table, idx));
-            }
-            _mm256_storeu_ps(out_ptr.add(s), a);
-            s += 8;
-        }
-        if s < len {
-            // Scalar tail (< 8 rows): same ascending-column fold over
-            // the same f32 LUT roundings.
-            out[s..].fill(0.0);
-            for (c, &level) in query.iter().enumerate() {
-                let table = &self.lut[level as usize * 8..][..8];
-                let column = &self.codes[c * n + row_start + s..][..len - s];
-                for (acc, &code) in out[s..].iter_mut().zip(column) {
-                    *acc = acc.fold::<MAX>(table[(code & 7) as usize]);
+        let n = self.n_rows;
+        let len = out.len();
+        let codes = self.codes.as_ptr().add(row_start);
+        let mut s = 0;
+        while s + CODES_GROUP_ROWS <= len {
+            let group = codes_group::<MAX, { CODES_GROUP_ROWS / 32 }>(&tables, query, |c, h| {
+                _mm256_loadu_si256(codes.add(c * n + s + 32 * h).cast())
+            });
+            for (h, ordered) in group.iter().enumerate() {
+                for (m, &o) in ordered.iter().enumerate() {
+                    _mm256_storeu_ps(out.as_mut_ptr().add(s + 32 * h + 8 * m), o);
                 }
             }
+            s += CODES_GROUP_ROWS;
+        }
+        // The last rows (fewer than a group), 32 at a time through
+        // zero-padded loads.
+        while s < len {
+            let rows = (len - s).min(32);
+            let [ordered] = codes_group::<MAX, 1>(&tables, query, |c, _| {
+                let mut buf = [0u8; 32];
+                std::ptr::copy_nonoverlapping(codes.add(c * n + s), buf.as_mut_ptr(), rows);
+                _mm256_loadu_si256(buf.as_ptr().cast())
+            });
+            let mut sums = [0.0f32; 32];
+            for (m, &o) in ordered.iter().enumerate() {
+                _mm256_storeu_ps(sums.as_mut_ptr().add(8 * m), o);
+            }
+            out[s..s + rows].copy_from_slice(&sums[..rows]);
+            s += rows;
         }
     }
 
-    /// The block face of the AVX2 fast path: widens each row tile's
-    /// byte codes to dword permute indices **once per block** into the
-    /// `aux` slab (the widen shares the shuffle port with the permute,
-    /// so hoisting it out of the per-query loop roughly halves the
-    /// serve's critical-port pressure), then serves every query from
-    /// the widened slab — one index load, one in-register permute, one
-    /// add per eight cells, running sums for 32 rows pinned in
-    /// registers across the column sweep.
-    ///
-    /// Same per-row ascending-column `f32` fold as every other path:
-    /// bit-identical results.
+    /// The block face of the AVX2 fast path: per L1-sized row tile,
+    /// the per-query loop ([`accumulate_query_avx2`](Self::accumulate_query_avx2))
+    /// for each query in the block, so every query after the first
+    /// reads the tile's codes from L1.
     ///
     /// # Safety
     ///
     /// Same contract as
-    /// [`accumulate_query_avx2`](Self::accumulate_query_avx2); `acc`
-    /// must hold `queries.len() * n_rows` scalars.
+    /// [`accumulate_query_avx2`](Self::accumulate_query_avx2) for every
+    /// query; `acc` must hold `queries.len() * n_rows` scalars.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    // SAFETY: same in-bounds argument as `accumulate_query_avx2`
-    // (padded 8-lane LUT rows, validated query levels, row tiles
-    // bounded by `n_rows`), plus `aux` is resized below to hold one
-    // widened tile before any indexed access; unaligned intrinsics
-    // throughout, so validity is the only pointer obligation.
-    unsafe fn accumulate_block_avx2<const MAX: bool>(
-        &self,
-        queries: &[&[u8]],
-        acc: &mut [f32],
-        aux: &mut Vec<f32>,
-    ) {
-        use std::arch::x86_64::*;
+    // SAFETY: each call passes a validated query and a row window
+    // `t0..t1` with `t1 <= n_rows`, the per-query contract.
+    unsafe fn accumulate_block_avx2<const MAX: bool>(&self, queries: &[&[u8]], acc: &mut [f32]) {
         let n = self.n_rows;
-        let wl = self.word_len;
-        let mut tables = [_mm256_setzero_ps(); 8];
-        for (level, table) in tables.iter_mut().enumerate().take(self.n_levels) {
-            *table = _mm256_loadu_ps(self.lut.as_ptr().add(level * 8));
-        }
-        // Rows per widened tile: the dword-index slab (`word_len ×
-        // tile × 4` bytes) stays within the expansion budget.
-        let tile = (CODES_IDX_SLAB_BYTES / (4 * wl.max(1)))
-            .clamp(32, 1 << 16)
-            .min(n);
-        if aux.len() < wl * tile {
-            aux.resize(wl * tile, 0.0);
-        }
-        let idx_slab = aux.as_mut_ptr().cast::<i32>();
-        let codes = self.codes.as_ptr();
+        // Rows per tile: the tile's codes (`word_len × tile` bytes)
+        // stay L1-resident while every query in the block reads them.
+        let tile = (ROW_TILE_BYTES / self.word_len.max(1)).max(CODES_GROUP_ROWS) / CODES_GROUP_ROWS
+            * CODES_GROUP_ROWS;
         let mut t0 = 0;
         while t0 < n {
             let t1 = (t0 + tile).min(n);
-            let tlen = t1 - t0;
-            let groups = tlen / 8;
-            // Widen this tile's codes to permute indices, once for the
-            // whole block.
-            for c in 0..wl {
-                let col = codes.add(c * n + t0);
-                let dst = idx_slab.add(c * tile);
-                for g in 0..groups {
-                    let idx = _mm256_cvtepu8_epi32(_mm_loadl_epi64(col.add(g * 8).cast()));
-                    _mm256_storeu_si256(dst.add(g * 8).cast(), idx);
-                }
-            }
-            // Serve every query from the widened slab. Eight running
-            // sums per 64-row group: a row's fold must stay a serial
-            // chain of `f32` adds (bit-identity forbids splitting it),
-            // so throughput comes from keeping eight independent row
-            // chains in flight — enough to hide FP-add latency.
             for (qi, q) in queries.iter().enumerate() {
-                let out = acc.as_mut_ptr().add(qi * n + t0);
-                let mut s = 0usize;
-                while s + 64 <= groups * 8 {
-                    let mut sums = [_mm256_setzero_ps(); 8];
-                    for (c, &level) in q.iter().enumerate() {
-                        let table = tables[level as usize];
-                        let base = idx_slab.add(c * tile + s);
-                        for (j, sum) in sums.iter_mut().enumerate() {
-                            let idx = _mm256_loadu_si256(base.add(j * 8).cast());
-                            *sum = fold_ps::<MAX>(*sum, _mm256_permutevar8x32_ps(table, idx));
-                        }
-                    }
-                    for (j, &sum) in sums.iter().enumerate() {
-                        _mm256_storeu_ps(out.add(s + j * 8), sum);
-                    }
-                    s += 64;
-                }
-                while s + 8 <= groups * 8 {
-                    let mut a = _mm256_setzero_ps();
-                    for (c, &level) in q.iter().enumerate() {
-                        let table = tables[level as usize];
-                        let idx = _mm256_loadu_si256(idx_slab.add(c * tile + s).cast());
-                        a = fold_ps::<MAX>(a, _mm256_permutevar8x32_ps(table, idx));
-                    }
-                    _mm256_storeu_ps(out.add(s), a);
-                    s += 8;
-                }
-                if s < tlen {
-                    // Scalar tail (< 8 rows) straight from the codes.
-                    let out_tail = &mut acc[qi * n + t0 + s..qi * n + t1];
-                    out_tail.fill(0.0);
-                    for (c, &level) in q.iter().enumerate() {
-                        let table = &self.lut[level as usize * 8..][..8];
-                        let column = &self.codes[c * n + t0 + s..][..tlen - s];
-                        for (a, &code) in out_tail.iter_mut().zip(column) {
-                            *a = a.fold::<MAX>(table[(code & 7) as usize]);
-                        }
-                    }
-                }
+                self.accumulate_query_avx2::<MAX>(q, t0, &mut acc[qi * n + t0..qi * n + t1]);
             }
             t0 = t1;
         }
@@ -1745,7 +1742,11 @@ impl CompiledCodes {
         }
     }
 
-    /// The tiled two-phase block kernel. Per row panel:
+    /// The block kernel. With AVX2 and 8-entry LUT rows it runs the
+    /// shift-and-permute loop per query over L1-sized row tiles
+    /// ([`accumulate_block_avx2`](Self::accumulate_block_avx2)), and
+    /// `aux` stays untouched. Otherwise it is the portable tiled
+    /// two-phase kernel. Per row panel:
     ///
     /// 1. **Expand** — for every column, each *distinct* level the
     ///    block's queries drive there gathers the codes column through
@@ -1784,13 +1785,13 @@ impl CompiledCodes {
         let n = self.n_rows;
         debug_assert!(acc.len() >= queries.len() * n);
         if self.simd_eligible() {
-            // In-register gather with block-amortized index widening —
-            // see accumulate_block_avx2.
+            // In-register shift-and-permute gather, tiled so the
+            // queries share each row tile — see accumulate_block_avx2.
             #[cfg(target_arch = "x86_64")]
             // SAFETY: eligibility checked AVX2 + 8-entry LUT rows; the
             // drivers validate queries before any work runs.
             unsafe {
-                self.accumulate_block_avx2::<MAX>(queries, acc, aux);
+                self.accumulate_block_avx2::<MAX>(queries, acc);
             }
             return;
         }

@@ -216,7 +216,8 @@ impl Topology {
 /// A sharded micro-batching server: `N` single-dispatcher shards over
 /// a partitioned [`BankedMcam`], plus the fan-out/merge front end and
 /// the probe/re-admit supervisor that resurrects quarantined shards.
-/// See the [module docs](self).
+/// See the crate-level
+/// ["Sharding and deadlines"](crate#sharding-and-deadlines) section.
 #[derive(Debug)]
 pub struct ShardedServer {
     /// Per-shard dispatcher servers behind slots the re-admit path can
@@ -253,8 +254,9 @@ impl ShardedServer {
 
     /// Like [`start`](Self::start), but keeps the [`LshRouter`] of
     /// `routed` at the front end: searches fan only to the shards
-    /// owning the query's routed banks (see the [module
-    /// docs](self#)). Results follow the routed-memory contract —
+    /// owning the query's routed banks (see the crate-level
+    /// ["Sharding and deadlines"](crate#sharding-and-deadlines)
+    /// section). Results follow the routed-memory contract —
     /// exact over the probed shard subset, approximate overall — and
     /// [`shutdown`](Self::shutdown) returns the reassembled
     /// [`BankedMcam`] (the router is dropped; rebuild one with

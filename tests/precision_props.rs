@@ -446,3 +446,204 @@ proptest! {
         }
     }
 }
+
+/// Hashed pseudo-random word over `n_levels` (SplitMix64 per cell):
+/// neighbouring rows carry unrelated codes, so a kernel that routes one
+/// row's fold into another row's slot changes the results.
+fn hashed_word(word_len: usize, n_levels: usize, seed: u64, salt: usize) -> Vec<u8> {
+    (0..word_len)
+        .map(|c| {
+            let mut z = seed
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add(((salt as u64) << 20) ^ c as u64);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n_levels as u64) as u8
+        })
+        .collect()
+}
+
+/// Conductances as raw bits: equality means bit-identical.
+fn outcome_bits(outcome: &SearchOutcome) -> Vec<u64> {
+    outcome.conductances().iter().map(|g| g.to_bits()).collect()
+}
+
+/// Ranked hits as `(row, score bits)`.
+fn hit_bits(hits: &[(usize, f64)]) -> Vec<(usize, u64)> {
+    hits.iter().map(|&(row, g)| (row, g.to_bits())).collect()
+}
+
+/// Codes equals f32 bit for bit on one geometry, through every face
+/// of the codes kernel: one query through the plan's single-query
+/// search and as a batch of one, a batch of `batch` queries, and the
+/// banked merges over 256-row banks, full and masked to the last bank;
+/// conductances, winners and top-`k`, for every metric.
+fn check_codes_equal_f32(
+    bits: u8,
+    word_len: usize,
+    n_rows: usize,
+    batch: usize,
+    k: usize,
+    seed: u64,
+) -> Result<(), String> {
+    let n_levels = 1usize << bits;
+    let rows: Vec<Vec<u8>> = (0..n_rows)
+        .map(|i| hashed_word(word_len, n_levels, seed, i))
+        .collect();
+    let array = build_array(bits, word_len, &rows, 0.0, seed);
+    let ladder = *array.ladder();
+    let mut banked = BankedMcam::new(ladder, array.lut().clone(), word_len, 256);
+    for r in &rows {
+        banked.store(r).expect("store banked");
+    }
+    let queries: Vec<Vec<u8>> = (0..batch)
+        .map(|s| hashed_word(word_len, n_levels, seed ^ 0x5EED, s))
+        .collect();
+    let refs: Vec<&[u8]> = queries.iter().map(|q| q.as_slice()).collect();
+    let mask = [banked.n_banks() - 1];
+    for metric in Metric::ALL {
+        let codes = SearchSpec {
+            precision: Precision::Codes,
+            metric,
+        };
+        let f32s = SearchSpec {
+            precision: Precision::F32,
+            metric,
+        };
+        let dispatch = array.plan(codes).expect("codes plan");
+        prop_assert!(
+            is_packed(&dispatch),
+            "shared-LUT array must use the packed kernel"
+        );
+        let plan32 = array.plan(f32s).expect("f32 plan");
+        // One query: the single-query face and a batch of one.
+        let single = dispatch.search(refs[0]).expect("codes search");
+        prop_assert_eq!(
+            outcome_bits(&single),
+            outcome_bits(&plan32.search(refs[0]).expect("f32 search"))
+        );
+        let one_c = array
+            .search_batch_with(&refs[..1], codes)
+            .expect("codes batch of one");
+        prop_assert_eq!(outcome_bits(&one_c[0]), outcome_bits(&single));
+        // A batch of several: the block face, all three shapes.
+        let bc = array.search_batch_with(&refs, codes).expect("codes batch");
+        let bf = array.search_batch_with(&refs, f32s).expect("f32 batch");
+        for (c, f) in bc.iter().zip(&bf) {
+            prop_assert_eq!(outcome_bits(c), outcome_bits(f));
+        }
+        for shape in [&refs[..1], &refs[..]] {
+            prop_assert_eq!(
+                hit_bits(
+                    &array
+                        .search_batch_winners_with(shape, codes)
+                        .expect("codes winners")
+                ),
+                hit_bits(
+                    &array
+                        .search_batch_winners_with(shape, f32s)
+                        .expect("f32 winners")
+                )
+            );
+            for (c, f) in array
+                .search_batch_top_k_with(shape, k, codes)
+                .expect("codes top k")
+                .iter()
+                .zip(
+                    &array
+                        .search_batch_top_k_with(shape, k, f32s)
+                        .expect("f32 top k"),
+                )
+            {
+                prop_assert_eq!(hit_bits(c), hit_bits(f));
+            }
+            // Banked, 256-row banks: the full sweep and a mask of
+            // the last bank.
+            prop_assert_eq!(
+                hit_bits(
+                    &banked
+                        .search_batch_winners_with(shape, codes)
+                        .expect("banked codes")
+                ),
+                hit_bits(
+                    &banked
+                        .search_batch_winners_with(shape, f32s)
+                        .expect("banked f32")
+                )
+            );
+            prop_assert_eq!(
+                hit_bits(
+                    &banked
+                        .search_batch_winners_masked(shape, codes, &mask)
+                        .expect("masked codes")
+                ),
+                hit_bits(
+                    &banked
+                        .search_batch_winners_masked(shape, f32s, &mask)
+                        .expect("masked f32")
+                )
+            );
+            let full_c = banked
+                .search_batch_top_k_with(shape, k, codes)
+                .expect("banked top k");
+            let full_f = banked
+                .search_batch_top_k_with(shape, k, f32s)
+                .expect("banked f32 k");
+            let mask_c = banked
+                .search_batch_top_k_masked(shape, k, codes, &mask)
+                .expect("masked top k");
+            let mask_f = banked
+                .search_batch_top_k_masked(shape, k, f32s, &mask)
+                .expect("masked f32 k");
+            for (c, f) in full_c
+                .iter()
+                .chain(&mask_c)
+                .zip(full_f.iter().chain(&mask_f))
+            {
+                prop_assert_eq!(hit_bits(c), hit_bits(f));
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Codes equals f32 bitwise at production geometry. The AVX2 codes
+    /// loop folds rows in 64-row register groups of two 32-row halves
+    /// (four byte-shifted accumulators each), runs the last rows of a
+    /// window through zero-padded loads, and tiles rows for the block
+    /// face; production banks hold 256 rows. Row counts up to 300 cross
+    /// the group and bank boundaries, word lengths up to 64 shrink the
+    /// block face's row tile toward 256 rows, 2- and 3-bit ladders take
+    /// the AVX2 loop and 4-bit ladders the portable one, and every
+    /// metric runs (Linf is the max fold).
+    #[test]
+    fn codes_bit_identical_to_f32_at_production_geometry(
+        bits in 2u8..=4,
+        word_len in 1usize..=64,
+        n_rows in 1usize..=300,
+        batch in 2usize..6,
+        k in 1usize..6,
+        seed in 0u64..1000,
+    ) {
+        check_codes_equal_f32(bits, word_len, n_rows, batch, k, seed)?;
+    }
+}
+
+/// The geometries the sampled property reaches only by chance, pinned:
+/// 64-cell words over 300 rows put the block face's second row tile at
+/// row 256 with a 44-row tail (one full 32-row half, one zero-padded),
+/// and make a second, partial 256-row bank; 257 and 320 rows end a
+/// window one row past and exactly on a group boundary.
+#[test]
+fn codes_bit_identical_to_f32_across_row_tiles() {
+    for bits in 2u8..=4 {
+        for (word_len, n_rows) in [(64, 300), (64, 257), (60, 320), (33, 95)] {
+            if let Err(message) = check_codes_equal_f32(bits, word_len, n_rows, 3, 4, 7) {
+                panic!("bits {bits}, {word_len}x{n_rows}: {message}");
+            }
+        }
+    }
+}
