@@ -963,21 +963,12 @@ unsafe fn codes_group<const MAX: bool, const HALVES: usize>(
     let mut sums = [[_mm256_setzero_ps(); 4]; HALVES];
     for (c, &level) in query.iter().enumerate() {
         let table = tables[usize::from(level & 7)];
-        for (h, sum) in sums.iter_mut().enumerate() {
-            let v = load(c, h);
-            sum[0] = fold_ps::<MAX>(sum[0], _mm256_permutevar8x32_ps(table, v));
-            sum[1] = fold_ps::<MAX>(
-                sum[1],
-                _mm256_permutevar8x32_ps(table, _mm256_srli_epi32::<8>(v)),
-            );
-            sum[2] = fold_ps::<MAX>(
-                sum[2],
-                _mm256_permutevar8x32_ps(table, _mm256_srli_epi32::<16>(v)),
-            );
-            sum[3] = fold_ps::<MAX>(
-                sum[3],
-                _mm256_permutevar8x32_ps(table, _mm256_srli_epi32::<24>(v)),
-            );
+        for (h, half) in sums.iter_mut().enumerate() {
+            let mut v = load(c, h);
+            for sum in half {
+                *sum = fold_ps::<MAX>(*sum, _mm256_permutevar8x32_ps(table, v));
+                v = _mm256_srli_epi32::<8>(v);
+            }
         }
     }
     // Per 128-bit lane a 4×4 transpose gathers rows `4j..4j+3` into
