@@ -12,6 +12,21 @@
 //!
 //! # Serving
 //!
+//! **One request, one ticket.** Every front end — [`ServeHandle`],
+//! [`ShardedHandle`], and the either-or [`ServingHandle`] — has the
+//! same four search entry points: `submit`/`search` for the winner and
+//! `submit_top_k`/`search_top_k` for the `k` nearest hits. Each takes
+//! `impl Into<Request>`: a bare query word, or a [`Request`] that also
+//! carries a per-request [`Metric`] ([`Request::metric`]) and a
+//! deadline budget ([`Request::deadline`]). Every request takes one
+//! admission path: validate the word, reject a zero budget, admit (on
+//! a sharded front end: route and fan out), enqueue. The `submit*`
+//! faces return a ticket generic over its answer — [`Ticket`],
+//! [`ShardTicket`], or [`ServingTicket`] — whose default answer is the
+//! `(global_row, total_conductance)` winner, and whose top-k form
+//! ([`TopKTicket`], [`ShardTopKTicket`]) answers the hits, nearest
+//! first.
+//!
 //! **Micro-batching window.** The dispatcher sleeps until a request
 //! arrives. The first search (winner or top-k) opens a batch window,
 //! and the dispatcher is *work-conserving*: it takes every search
@@ -38,9 +53,9 @@
 //! `max_wait` of extra latency.
 //!
 //! **Deadlines.** A window must close `max_wait` after it opened
-//! (at once under the default). A request submitted through
-//! [`ServeHandle::submit_with_deadline`] carries its own budget, and
-//! the window instead closes at the *earliest* deadline among the
+//! (at once under the default). A request built with
+//! [`Request::deadline`] carries its own budget, and the window
+//! instead closes at the *earliest* deadline among the
 //! requests it holds, if that is sooner — a tight-budget request
 //! never idles out a window on behalf of patient neighbors. A
 //! deadline bounds how long a request may sit *unexecuted*: when the
@@ -131,9 +146,8 @@
 //! * **Deadline semantics vs `max_wait`.** [`ServeConfig::max_wait`]
 //!   is the *global* patience of a batching window — zero by default,
 //!   so a window only ever takes what is already queued; a
-//!   per-request deadline ([`ServeHandle::submit_with_deadline`],
-//!   [`ShardedHandle::submit_with_deadline`]) is one request's own
-//!   budget. Under a positive `max_wait` the window stops blocking at
+//!   per-request deadline ([`Request::deadline`], the same on every
+//!   front end) is one request's own budget. Under a positive `max_wait` the window stops blocking at
 //!   the earliest pending deadline (never later than `max_wait`);
 //!   either way, dead-on-arrival requests are rejected with
 //!   [`ServeError::DeadlineExceeded`] instead of executing, and on a
@@ -226,11 +240,13 @@
 //!   are monotone and observable: [`ShardedStats`] `degraded` /
 //!   `quarantined` / `readmitted` / `probe_failures`.
 //!
-//! Error precedence: a request whose own deadline has already expired
-//! reports [`ServeError::DeadlineExceeded`] even when the topology is
-//! simultaneously degraded — request-validity errors outrank topology
-//! errors, so callers can tell "your budget was too small" from "the
-//! fleet is sick".
+//! Error precedence: a malformed word reports its validation error
+//! ([`CoreError::WordLengthMismatch`] / [`CoreError::LevelOutOfRange`])
+//! whatever its budget, and a request whose own deadline has already
+//! expired reports [`ServeError::DeadlineExceeded`] even when the
+//! topology is simultaneously degraded — request-validity errors
+//! outrank topology errors, so callers can tell "your budget was too
+//! small" from "the fleet is sick".
 //!
 //! Error taxonomy: [`ServeError::Overloaded`] (admission),
 //! [`ServeError::DeadlineExceeded`] (the request's own budget),
@@ -680,29 +696,130 @@ impl<T> Drop for Responder<T> {
     }
 }
 
-/// An in-flight search: wait on it to receive the
-/// `(global_row, total_conductance)` winner.
+/// One search request: the query word plus its per-request settings.
+///
+/// Every `submit*`/`search*` entry point of the serving handles takes
+/// `impl Into<Request>`, so a bare word (`&[u8]`, `&Vec<u8>`,
+/// `&[u8; N]`) is a request at the default [`Metric`] with no
+/// deadline. The builders set the rest:
+///
+/// ```
+/// # use std::time::Duration;
+/// use femcam_core::Metric;
+/// use femcam_serve::Request;
+///
+/// let word = vec![1u8, 1, 2, 3];
+/// let request = Request::new(&word)
+///     .metric(Metric::L1)
+///     .deadline(Duration::from_millis(5));
+/// # let _ = request;
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Request<'q> {
+    query: &'q [u8],
+    metric: Metric,
+    budget: Option<Duration>,
+}
+
+impl<'q> Request<'q> {
+    /// A request for `query` at the default [`Metric`], with no
+    /// deadline.
+    #[must_use]
+    pub fn new<Q: AsRef<[u8]> + ?Sized>(query: &'q Q) -> Self {
+        Request {
+            query: query.as_ref(),
+            metric: Metric::default(),
+            budget: None,
+        }
+    }
+
+    /// Answers the request under `metric` semantics, whatever the rest
+    /// of its micro-batch window asked for: the dispatcher groups each
+    /// window by metric and runs one batched sweep per distinct
+    /// metric. The server's precision still applies.
+    #[must_use]
+    pub fn metric(self, metric: Metric) -> Self {
+        Request { metric, ..self }
+    }
+
+    /// Gives the request its own budget: it must start executing
+    /// within `budget` of submission, or it is rejected with
+    /// [`ServeError::DeadlineExceeded`] instead of running dead work.
+    /// A zero budget is rejected at submission. A tight budget also
+    /// closes the batching window early (see the
+    /// [module-level "Deadlines"](crate#serving)).
+    #[must_use]
+    pub fn deadline(self, budget: Duration) -> Self {
+        Request {
+            budget: Some(budget),
+            ..self
+        }
+    }
+
+    /// The admission checks every front end runs first, in precedence
+    /// order: validate the word, then reject a zero budget (counted in
+    /// `deadline_rejected`). A malformed request therefore always
+    /// reports its validation error, never `DeadlineExceeded`. Returns
+    /// the request's absolute deadline; a budget too large to
+    /// represent as an instant is no deadline at all.
+    pub(crate) fn check(
+        &self,
+        word_len: usize,
+        n_levels: usize,
+        deadline_rejected: &AtomicU64,
+    ) -> Result<Option<Instant>, ServeError> {
+        validate_query(word_len, n_levels, self.query)?;
+        match self.budget {
+            Some(budget) if budget.is_zero() => {
+                // ORDERING: Relaxed — monotone stats counter; readers
+                // want a recent total, not an ordering edge.
+                deadline_rejected.fetch_add(1, Ordering::Relaxed);
+                Err(ServeError::DeadlineExceeded {
+                    budget,
+                    waited: Duration::ZERO,
+                })
+            }
+            budget => Ok(budget.and_then(|b| Instant::now().checked_add(b))),
+        }
+    }
+}
+
+impl<'q, Q: AsRef<[u8]> + ?Sized> From<&'q Q> for Request<'q> {
+    fn from(query: &'q Q) -> Self {
+        Request::new(query)
+    }
+}
+
+/// An in-flight search on a single-dispatcher server: wait on it to
+/// receive the answer — the `(global_row, total_conductance)` winner
+/// of a [`ServeHandle::submit`], or the hits of a
+/// [`ServeHandle::submit_top_k`], nearest first ([`TopKTicket`]).
 #[derive(Debug)]
-pub struct Ticket {
-    slot: Arc<OneShot<(usize, f64)>>,
+pub struct Ticket<T = (usize, f64)> {
+    slot: Arc<OneShot<T>>,
     /// Banks the served memory held at submission — a
     /// single-dispatcher answer always covers all of them.
     banks: usize,
 }
 
-impl Ticket {
+/// An in-flight top-k search on a single-dispatcher server.
+pub type TopKTicket = Ticket<Vec<(usize, f64)>>;
+
+impl<T> Ticket<T> {
     /// Blocks until the dispatcher answers this request.
     ///
     /// # Errors
     ///
     /// * [`ServeError::Core`] if the search failed (e.g. the memory is
     ///   empty).
+    /// * [`ServeError::DeadlineExceeded`] if the request's deadline
+    ///   passed before the dispatcher reached it.
     /// * [`ServeError::ShuttingDown`] if the server exited before
     ///   answering.
     /// * [`ServeError::DispatcherFailed`] if the dispatcher panicked
     ///   with this request in flight (the panic was caught on its
     ///   behalf) or has failed terminally.
-    pub fn wait(self) -> Result<(usize, f64), ServeError> {
+    pub fn wait(self) -> Result<T, ServeError> {
         self.slot.wait()
     }
 
@@ -713,17 +830,14 @@ impl Ticket {
     /// # Errors
     ///
     /// Same conditions as [`wait`](Self::wait).
-    pub fn wait_covered(self) -> Result<Covered<(usize, f64)>, ServeError> {
+    pub fn wait_covered(self) -> Result<Covered<T>, ServeError> {
         let coverage = Coverage::full((0..self.banks).collect());
         self.slot.wait().map(|value| Covered { value, coverage })
     }
 
     /// [`wait`](Self::wait) with an absolute give-up instant; `None`
     /// abandons the ticket still unanswered.
-    pub(crate) fn wait_deadline(
-        self,
-        deadline: Instant,
-    ) -> Option<Result<(usize, f64), ServeError>> {
+    pub(crate) fn wait_deadline(self, deadline: Instant) -> Option<Result<T, ServeError>> {
         self.slot.wait_deadline(deadline)
     }
 
@@ -733,72 +847,35 @@ impl Ticket {
     }
 }
 
-/// An in-flight top-k search: wait on it to receive the
-/// `(global_row, total_conductance)` hits, nearest first.
-#[derive(Debug)]
-pub struct TopKTicket {
-    slot: Arc<OneShot<Vec<(usize, f64)>>>,
-    banks: usize,
+/// Where a queued search's answer goes: the winner, or the `k`
+/// nearest hits.
+enum Reply {
+    Top1(Responder<(usize, f64)>),
+    TopK(usize, Responder<Vec<(usize, f64)>>),
 }
 
-impl TopKTicket {
-    /// Blocks until the dispatcher answers this request.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Ticket::wait`].
-    pub fn wait(self) -> Result<Vec<(usize, f64)>, ServeError> {
-        self.slot.wait()
-    }
-
-    /// [`wait`](Self::wait), with the (always-full) [`Coverage`]
-    /// record — see [`Ticket::wait_covered`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`wait`](Self::wait).
-    pub fn wait_covered(self) -> Result<Covered<Vec<(usize, f64)>>, ServeError> {
-        let coverage = Coverage::full((0..self.banks).collect());
-        self.slot.wait().map(|value| Covered { value, coverage })
-    }
-
-    /// [`wait`](Self::wait) with an absolute give-up instant; `None`
-    /// abandons the ticket still unanswered.
-    pub(crate) fn wait_deadline(
-        self,
-        deadline: Instant,
-    ) -> Option<Result<Vec<(usize, f64)>, ServeError>> {
-        self.slot.wait_deadline(deadline)
-    }
-
-    /// Banks the served memory held at submission.
-    pub(crate) fn banks_count(&self) -> usize {
-        self.banks
+impl Reply {
+    /// Answers the request with `e`, whichever answer it expected.
+    fn fail(self, e: ServeError) {
+        match self {
+            Reply::Top1(r) => r.fulfill(Err(e)),
+            Reply::TopK(_, r) => r.fulfill(Err(e)),
+        }
     }
 }
 
-/// A queued winner search (one entry of a batching window).
+/// A queued search (one entry of a batching window).
 struct PendingSearch {
     query: Vec<u8>,
     metric: Metric,
     submitted: Instant,
     deadline: Option<Instant>,
-    responder: Responder<(usize, f64)>,
+    reply: Reply,
 }
 
-/// A queued top-k search (one entry of a batching window).
-struct PendingTopK {
-    query: Vec<u8>,
-    k: usize,
-    metric: Metric,
-    submitted: Instant,
-    deadline: Option<Instant>,
-    responder: Responder<Vec<(usize, f64)>>,
-}
-
-enum Request {
+/// What travels through the dispatcher queue.
+enum Msg {
     Search(PendingSearch),
-    TopK(PendingTopK),
     Store {
         word: Vec<u8>,
         responder: Responder<usize>,
@@ -840,126 +917,94 @@ struct Shared {
 /// Cloneable client handle to a running [`McamServer`].
 #[derive(Debug, Clone)]
 pub struct ServeHandle {
-    tx: Sender<Request>,
+    tx: Sender<Msg>,
     shared: Arc<Shared>,
 }
 
 impl ServeHandle {
-    /// Submits one query without blocking on its result; the returned
-    /// [`Ticket`] waits for the winner. Queries are validated here, at
-    /// admission time, so a malformed request is rejected synchronously
-    /// and can never fail a micro-batch it would have shared with
-    /// well-formed neighbors.
+    /// Submits one search without blocking on its result; the returned
+    /// [`Ticket`] waits for the `(global_row, total_conductance)`
+    /// winner. `request` is a bare query word or a [`Request`] with a
+    /// per-request [`Metric`] and deadline. The query is validated
+    /// here, at admission time, so a malformed request is rejected
+    /// synchronously and can never fail a micro-batch it would have
+    /// shared with well-formed neighbors.
     ///
     /// # Errors
     ///
     /// * [`ServeError::Core`] with [`CoreError::WordLengthMismatch`] /
     ///   [`CoreError::LevelOutOfRange`] for malformed queries (exactly
-    ///   as a direct search would report them).
+    ///   as a direct search would report them), whatever the budget.
+    /// * [`ServeError::DeadlineExceeded`] for a zero budget.
     /// * [`ServeError::Overloaded`] when the queue is at capacity.
-    /// * [`ServeError::ShuttingDown`] when the server has exited.
-    pub fn submit(&self, query: &[u8]) -> Result<Ticket, ServeError> {
-        self.submit_at(query, None, Metric::default())
+    /// * [`ServeError::ShuttingDown`] when the server has exited, or
+    ///   [`ServeError::DispatcherFailed`] when it failed terminally.
+    pub fn submit<'q>(&self, request: impl Into<Request<'q>>) -> Result<Ticket, ServeError> {
+        self.submit_as(request.into(), Reply::Top1)
     }
 
-    /// [`submit`](Self::submit) at a chosen per-request [`Metric`]:
-    /// the request is answered under `metric` semantics regardless of
-    /// what the rest of its micro-batch window asked for (the
-    /// dispatcher groups each window by metric and runs one batched
-    /// sweep per distinct metric). The server's precision still
-    /// applies.
+    /// Submits one top-k search without blocking on its result. Top-k
+    /// traffic coalesces into the same micro-batch window as winner
+    /// traffic (one [`BankedMcam::search_batch_top_k_with`] sweep per
+    /// window and metric) and counts against admission control like a
+    /// winner search. `k` is clamped, never an error: `k = 0` answers
+    /// no hits, and a `k` past the row count answers every row.
     ///
     /// # Errors
     ///
     /// Same conditions as [`submit`](Self::submit).
-    pub fn submit_with_metric(&self, query: &[u8], metric: Metric) -> Result<Ticket, ServeError> {
-        self.submit_at(query, None, metric)
+    pub fn submit_top_k<'q>(
+        &self,
+        request: impl Into<Request<'q>>,
+        k: usize,
+    ) -> Result<TopKTicket, ServeError> {
+        self.submit_as(request.into(), move |r| Reply::TopK(k, r))
     }
 
-    /// [`submit_with_metric`](Self::submit_with_metric), blocking for
-    /// the winner — bit-identical to
-    /// [`BankedMcam::search_batch_winners_with`] at the server's precision
-    /// against the contents visible at execution time.
+    /// [`submit`](Self::submit), blocking for the winner —
+    /// bit-identical to [`BankedMcam::search_batch_winners_with`] at
+    /// the server's precision and the request's metric, against the
+    /// contents visible at execution time.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`submit`](Self::submit) and
+    /// [`Ticket::wait`].
+    pub fn search<'q>(&self, request: impl Into<Request<'q>>) -> Result<(usize, f64), ServeError> {
+        self.submit(request)?.wait()
+    }
+
+    /// [`submit_top_k`](Self::submit_top_k), blocking for the hits,
+    /// nearest first — bit-identical to
+    /// [`BankedMcam::search_batch_top_k_with`] at the server's
+    /// precision and the request's metric, against the contents
+    /// visible at execution time.
     ///
     /// # Errors
     ///
     /// Same conditions as [`search`](Self::search).
-    pub fn search_with_metric(
+    pub fn search_top_k<'q>(
         &self,
-        query: &[u8],
-        metric: Metric,
-    ) -> Result<(usize, f64), ServeError> {
-        self.submit_with_metric(query, metric)?.wait()
+        request: impl Into<Request<'q>>,
+        k: usize,
+    ) -> Result<Vec<(usize, f64)>, ServeError> {
+        self.submit_top_k(request, k)?.wait()
     }
 
-    /// Like [`submit`](Self::submit), with a per-request deadline:
-    /// the request must start executing within `budget` of now, or it
-    /// is rejected with [`ServeError::DeadlineExceeded`] instead of
-    /// running dead work. A tight budget also closes the batching
-    /// window early — the dispatcher never holds a window open past
-    /// the earliest pending deadline (see the
-    /// [module-level "Deadlines"](self#serving)).
-    ///
-    /// # Errors
-    ///
-    /// * [`ServeError::DeadlineExceeded`] immediately when `budget`
-    ///   is zero, or from [`Ticket::wait`] when the deadline passed
-    ///   before the dispatcher reached the request.
-    /// * Otherwise the same conditions as [`submit`](Self::submit).
-    pub fn submit_with_deadline(
+    /// The one admission path: validate, reject a zero budget, take an
+    /// admission slot, enqueue.
+    fn submit_as<T>(
         &self,
-        query: &[u8],
-        budget: Duration,
-    ) -> Result<Ticket, ServeError> {
-        validate_query(self.shared.word_len, self.shared.n_levels, query)?;
-        let deadline = self.deadline_for(budget)?;
-        self.submit_at(query, Some(deadline), Metric::default())
-    }
-
-    /// Converts a request budget into an absolute deadline; a zero
-    /// budget is dead on arrival. Callers validate the query *first*,
-    /// so a malformed request always reports its validation error
-    /// (the documented admission contract), never `DeadlineExceeded`.
-    fn deadline_for(&self, budget: Duration) -> Result<Instant, ServeError> {
-        if budget.is_zero() {
-            // ORDERING: Relaxed — monotone stats counter; readers want
-            // a recent total, not an ordering edge.
-            self.shared
-                .deadline_rejected
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::DeadlineExceeded {
-                budget,
-                waited: Duration::ZERO,
-            });
-        }
-        Ok(Instant::now() + budget)
-    }
-
-    /// [`submit_with_deadline`](Self::submit_with_deadline), blocking
-    /// for the winner.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`submit_with_deadline`](Self::submit_with_deadline) and
-    /// [`Ticket::wait`].
-    pub fn search_with_deadline(
-        &self,
-        query: &[u8],
-        budget: Duration,
-    ) -> Result<(usize, f64), ServeError> {
-        self.submit_with_deadline(query, budget)?.wait()
-    }
-
-    pub(crate) fn submit_at(
-        &self,
-        query: &[u8],
-        deadline: Option<Instant>,
-        metric: Metric,
-    ) -> Result<Ticket, ServeError> {
-        validate_query(self.shared.word_len, self.shared.n_levels, query)?;
+        request: Request<'_>,
+        reply: impl FnOnce(Responder<T>) -> Reply,
+    ) -> Result<Ticket<T>, ServeError> {
+        let deadline = request.check(
+            self.shared.word_len,
+            self.shared.n_levels,
+            &self.shared.deadline_rejected,
+        )?;
         self.admit()?;
-        self.enqueue_search(query, deadline, metric)
+        self.enqueue(&request, deadline, reply)
     }
 
     /// The error a request gets when the dispatcher is gone: terminal
@@ -968,27 +1013,28 @@ impl ServeHandle {
         exit_error(&self.shared)
     }
 
-    /// Enqueues a search whose admission slot the caller already
-    /// holds (a failed send releases it).
-    pub(crate) fn enqueue_search(
+    /// Enqueues a checked search whose admission slot the caller
+    /// already holds (a failed send releases it); `reply` wraps the
+    /// responder into the answer kind the ticket waits for.
+    pub(crate) fn enqueue<T>(
         &self,
-        query: &[u8],
+        request: &Request<'_>,
         deadline: Option<Instant>,
-        metric: Metric,
-    ) -> Result<Ticket, ServeError> {
+        reply: impl FnOnce(Responder<T>) -> Reply,
+    ) -> Result<Ticket<T>, ServeError> {
         let (responder, slot) = Responder::new();
-        let request = Request::Search(PendingSearch {
-            query: query.to_vec(),
-            metric,
+        let msg = Msg::Search(PendingSearch {
+            query: request.query.to_vec(),
+            metric: request.metric,
             submitted: Instant::now(),
             deadline,
-            responder,
+            reply: reply(responder),
         });
         // ORDERING: Relaxed — advisory bank count for the ticket's
         // coverage record; the dispatcher's answer (ordered by the
         // channel + one-shot mutex) is authoritative.
         let banks = self.shared.n_banks.load(Ordering::Relaxed);
-        if self.tx.send(request).is_err() {
+        if self.tx.send(msg).is_err() {
             self.release_slot();
             return Err(self.exit_error());
         }
@@ -1055,140 +1101,6 @@ impl ServeHandle {
         Ok(())
     }
 
-    /// Submits one query and blocks until its
-    /// `(global_row, total_conductance)` winner arrives —
-    /// bit-identical to [`BankedMcam::search_batch_winners_with`] at the server's
-    /// precision against the contents visible at execution time.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`submit`](Self::submit) and
-    /// [`Ticket::wait`].
-    pub fn search(&self, query: &[u8]) -> Result<(usize, f64), ServeError> {
-        self.submit(query)?.wait()
-    }
-
-    /// Submits one top-k query without blocking on its result. Top-k
-    /// traffic coalesces into the same micro-batch window as winner
-    /// traffic (one [`BankedMcam::search_batch_top_k_with`] sweep per
-    /// window) instead of running solo as a batch barrier, so a k-NN
-    /// workload batches like everything else. `k` is clamped, never an
-    /// error. Counts against admission control like a winner search.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`submit`](Self::submit).
-    pub fn submit_top_k(&self, query: &[u8], k: usize) -> Result<TopKTicket, ServeError> {
-        self.submit_top_k_at(query, k, None, Metric::default())
-    }
-
-    /// [`submit_top_k`](Self::submit_top_k) at a chosen per-request
-    /// [`Metric`] — the top-k face of
-    /// [`submit_with_metric`](Self::submit_with_metric).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`submit_top_k`](Self::submit_top_k).
-    pub fn submit_top_k_with_metric(
-        &self,
-        query: &[u8],
-        k: usize,
-        metric: Metric,
-    ) -> Result<TopKTicket, ServeError> {
-        self.submit_top_k_at(query, k, None, metric)
-    }
-
-    /// The `k` nearest rows under a chosen per-request [`Metric`],
-    /// nearest first — blocking face of
-    /// [`submit_top_k_with_metric`](Self::submit_top_k_with_metric),
-    /// bit-identical to [`BankedMcam::search_batch_top_k_with`] at
-    /// the server's precision against the contents visible at
-    /// execution time.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search_top_k`](Self::search_top_k).
-    pub fn search_top_k_with_metric(
-        &self,
-        query: &[u8],
-        k: usize,
-        metric: Metric,
-    ) -> Result<Vec<(usize, f64)>, ServeError> {
-        self.submit_top_k_with_metric(query, k, metric)?.wait()
-    }
-
-    /// Like [`submit_top_k`](Self::submit_top_k) with a per-request
-    /// deadline — the same semantics as
-    /// [`submit_with_deadline`](Self::submit_with_deadline).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`submit_with_deadline`](Self::submit_with_deadline).
-    pub fn submit_top_k_with_deadline(
-        &self,
-        query: &[u8],
-        k: usize,
-        budget: Duration,
-    ) -> Result<TopKTicket, ServeError> {
-        validate_query(self.shared.word_len, self.shared.n_levels, query)?;
-        let deadline = self.deadline_for(budget)?;
-        self.submit_top_k_at(query, k, Some(deadline), Metric::default())
-    }
-
-    pub(crate) fn submit_top_k_at(
-        &self,
-        query: &[u8],
-        k: usize,
-        deadline: Option<Instant>,
-        metric: Metric,
-    ) -> Result<TopKTicket, ServeError> {
-        validate_query(self.shared.word_len, self.shared.n_levels, query)?;
-        self.admit()?;
-        self.enqueue_top_k(query, k, deadline, metric)
-    }
-
-    /// Top-k face of [`enqueue_search`](Self::enqueue_search): the
-    /// caller already holds an admission slot.
-    pub(crate) fn enqueue_top_k(
-        &self,
-        query: &[u8],
-        k: usize,
-        deadline: Option<Instant>,
-        metric: Metric,
-    ) -> Result<TopKTicket, ServeError> {
-        let (responder, slot) = Responder::new();
-        let request = Request::TopK(PendingTopK {
-            query: query.to_vec(),
-            k,
-            metric,
-            submitted: Instant::now(),
-            deadline,
-            responder,
-        });
-        // ORDERING: Relaxed — advisory bank count for the ticket's
-        // coverage record; the dispatcher's answer (ordered by the
-        // channel + one-shot mutex) is authoritative.
-        let banks = self.shared.n_banks.load(Ordering::Relaxed);
-        if self.tx.send(request).is_err() {
-            self.release_slot();
-            return Err(self.exit_error());
-        }
-        Ok(TopKTicket { slot, banks })
-    }
-
-    /// The `k` nearest rows for one query, nearest first — blocking
-    /// face of [`submit_top_k`](Self::submit_top_k), bit-identical to
-    /// [`BankedMcam::search_batch_top_k_with`] at the server's precision
-    /// against the contents visible at execution time.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search`](Self::search).
-    pub fn search_top_k(&self, query: &[u8], k: usize) -> Result<Vec<(usize, f64)>, ServeError> {
-        self.submit_top_k(query, k)?.wait()
-    }
-
     /// Stores one word through the dispatcher and blocks until it is
     /// applied; returns the new global row index. Stores bypass
     /// admission control (a write must not be silently dropped) but
@@ -1209,7 +1121,7 @@ impl ServeHandle {
         validate_query(self.shared.word_len, self.shared.n_levels, word)?;
         let (responder, slot) = Responder::new();
         self.tx
-            .send(Request::Store {
+            .send(Msg::Store {
                 word: word.to_vec(),
                 responder,
             })
@@ -1226,7 +1138,7 @@ impl ServeHandle {
     pub fn memory_report(&self) -> Result<MemoryReport, ServeError> {
         let (responder, slot) = Responder::new();
         self.tx
-            .send(Request::Report { responder })
+            .send(Msg::Report { responder })
             .map_err(|_| self.exit_error())?;
         slot.wait()
     }
@@ -1281,7 +1193,7 @@ impl ServeHandle {
     /// dispatcher after every store) — what a sharded front end
     /// charges as lost coverage when this shard cannot answer.
     pub(crate) fn banks_snapshot(&self) -> usize {
-        // ORDERING: Relaxed — see `enqueue_search`'s coverage note.
+        // ORDERING: Relaxed — see `enqueue`'s coverage note.
         self.shared.n_banks.load(Ordering::Relaxed)
     }
 
@@ -1456,7 +1368,7 @@ impl McamServer {
     /// [`ServeError::DispatcherFailed`] if the dispatcher thread died
     /// outside its supervised region (the memory is lost with it).
     pub fn shutdown(mut self) -> Result<BankedMcam, ServeError> {
-        let _ = self.handle.tx.send(Request::Shutdown);
+        let _ = self.handle.tx.send(Msg::Shutdown);
         let Some(dispatcher) = self.dispatcher.take() else {
             return Err(ServeError::ShuttingDown);
         };
@@ -1469,7 +1381,7 @@ impl McamServer {
 impl Drop for McamServer {
     fn drop(&mut self) {
         if let Some(dispatcher) = self.dispatcher.take() {
-            let _ = self.handle.tx.send(Request::Shutdown);
+            let _ = self.handle.tx.send(Msg::Shutdown);
             let _ = dispatcher.join();
         }
     }
@@ -1493,9 +1405,9 @@ fn auto_capacity(memory: &BankedMcam, config: &ServeConfig) -> usize {
         .max(config.max_batch)
 }
 
-/// One open batching window: the winner and top-k searches collected
-/// so far, the latest instant the window may stay open, and the
-/// earliest per-request deadline among the collected searches.
+/// One open batching window: the searches (winner and top-k)
+/// collected so far, the latest instant the window may stay open, and
+/// the earliest per-request deadline among the collected searches.
 ///
 /// The window helpers below are the only clock reads the dispatcher's
 /// wait loop is allowed (the `femcam-lint` `instant-in-dispatch` rule
@@ -1503,7 +1415,6 @@ fn auto_capacity(memory: &BankedMcam, config: &ServeConfig) -> usize {
 /// [`dispatch`].
 struct Window {
     searches: Vec<PendingSearch>,
-    topks: Vec<PendingTopK>,
     max_batch: usize,
     /// `max_wait` past the instant the window opened: the window
     /// closes by then even if no request carries a deadline.
@@ -1517,47 +1428,47 @@ impl Window {
     fn open(max_batch: usize, max_wait: Duration) -> Self {
         Window {
             searches: Vec::with_capacity(max_batch),
-            topks: Vec::new(),
             max_batch,
             closes_by: Instant::now() + max_wait,
             earliest_deadline: None,
         }
     }
 
-    fn len(&self) -> usize {
-        self.searches.len() + self.topks.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Whether the dispatcher should keep collecting: the window holds
     /// a live search (an opener rejected as dead on arrival leaves
     /// nothing to batch with) and is not yet full.
     fn wants_more(&self) -> bool {
-        !self.is_empty() && self.len() < self.max_batch
+        !self.searches.is_empty() && self.searches.len() < self.max_batch
     }
 
-    /// Adds a popped search or top-k request to the window (unless it
-    /// is dead on arrival) and returns `None`; any other request is a
-    /// barrier that closes the window and is handed back.
-    fn take(&mut self, request: Request, shared: &Shared) -> Option<Request> {
-        match request {
-            Request::Search(s) => push_search(self, s, shared),
-            Request::TopK(t) => push_topk(self, t, shared),
-            barrier => return Some(barrier),
+    /// Adds a popped search to the window and returns `None`; any
+    /// other message is a barrier that closes the window and is handed
+    /// back. A search whose deadline passed while it sat queued is
+    /// dead on arrival: it is rejected (its slot released) instead of
+    /// joining the batch.
+    fn take(&mut self, msg: Msg, shared: &Shared) -> Option<Msg> {
+        let Msg::Search(search) = msg else {
+            return Some(msg);
+        };
+        let now = Instant::now();
+        match search.deadline {
+            Some(d) if d <= now => {
+                // ORDERING: Relaxed — slot release (atomicity only, see
+                // `release_slot`) plus a monotone stats counter.
+                shared.depth.fetch_sub(1, Ordering::Relaxed);
+                shared.deadline_rejected.fetch_add(1, Ordering::Relaxed);
+                search.reply.fail(ServeError::DeadlineExceeded {
+                    budget: d.saturating_duration_since(search.submitted),
+                    waited: now.saturating_duration_since(search.submitted),
+                });
+            }
+            Some(d) => {
+                self.earliest_deadline = Some(self.earliest_deadline.map_or(d, |e| e.min(d)));
+                self.searches.push(search);
+            }
+            None => self.searches.push(search),
         }
         None
-    }
-
-    fn note_deadline(&mut self, deadline: Option<Instant>) {
-        if let Some(d) = deadline {
-            self.earliest_deadline = Some(match self.earliest_deadline {
-                Some(e) => e.min(d),
-                None => d,
-            });
-        }
     }
 
     /// The instant this window must close: `max_wait` after it opened,
@@ -1575,80 +1486,6 @@ impl Window {
     /// window is due: execute the batch, never re-arm the wait.
     fn timeout(&self) -> Option<Duration> {
         window_timeout(self.close_at(), Instant::now())
-    }
-}
-
-/// Deadline gate for a popped request: hands the responder back when
-/// the request is still live, or rejects it (dead on arrival at the
-/// dispatcher — its deadline passed while it sat queued) and returns
-/// `None`.
-fn live_or_reject<T>(
-    deadline: Option<Instant>,
-    submitted: Instant,
-    now: Instant,
-    responder: Responder<T>,
-    shared: &Shared,
-) -> Option<Responder<T>> {
-    match deadline {
-        Some(d) if d <= now => {
-            // ORDERING: Relaxed — slot release (atomicity only, see
-            // `release_slot`) plus a monotone stats counter.
-            shared.depth.fetch_sub(1, Ordering::Relaxed);
-            shared.deadline_rejected.fetch_add(1, Ordering::Relaxed);
-            responder.fulfill(Err(ServeError::DeadlineExceeded {
-                budget: d.saturating_duration_since(submitted),
-                waited: now.saturating_duration_since(submitted),
-            }));
-            None
-        }
-        _ => Some(responder),
-    }
-}
-
-/// Adds a popped search to the window, unless it is dead on arrival.
-fn push_search(window: &mut Window, search: PendingSearch, shared: &Shared) {
-    let PendingSearch {
-        query,
-        metric,
-        submitted,
-        deadline,
-        responder,
-    } = search;
-    if let Some(responder) = live_or_reject(deadline, submitted, Instant::now(), responder, shared)
-    {
-        window.note_deadline(deadline);
-        window.searches.push(PendingSearch {
-            query,
-            metric,
-            submitted,
-            deadline,
-            responder,
-        });
-    }
-}
-
-/// Adds a popped top-k request to the window, unless it is dead on
-/// arrival.
-fn push_topk(window: &mut Window, topk: PendingTopK, shared: &Shared) {
-    let PendingTopK {
-        query,
-        k,
-        metric,
-        submitted,
-        deadline,
-        responder,
-    } = topk;
-    if let Some(responder) = live_or_reject(deadline, submitted, Instant::now(), responder, shared)
-    {
-        window.note_deadline(deadline);
-        window.topks.push(PendingTopK {
-            query,
-            k,
-            metric,
-            submitted,
-            deadline,
-            responder,
-        });
     }
 }
 
@@ -1674,26 +1511,26 @@ fn window_timeout(close_at: Instant, now: Instant) -> Option<Duration> {
 /// requests are answered with the failure) instead of crash-looping.
 fn dispatch(
     mut memory: ServeMemory,
-    rx: &Receiver<Request>,
+    rx: &Receiver<Msg>,
     shared: &Shared,
     config: &ServeConfig,
 ) -> BankedMcam {
     let mut breaker = RestartBreaker::new(config.restart_budget, config.restart_window);
-    let mut leftover: Option<Request> = None;
+    let mut leftover: Option<Msg> = None;
     'serve: loop {
         let Ok(first) = rx.recv() else {
             break 'serve; // every handle dropped
         };
-        // A window may close because a non-search request arrived; that
-        // request is handled right after the batch it interrupted.
+        // A window may close because a non-search message arrived; that
+        // message is handled right after the batch it interrupted.
         let mut pending = Some(first);
-        while let Some(request) = pending.take() {
-            match request {
-                Request::Shutdown => break 'serve,
-                Request::Report { responder } => {
+        while let Some(msg) = pending.take() {
+            match msg {
+                Msg::Shutdown => break 'serve,
+                Msg::Report { responder } => {
                     responder.fulfill(Ok(report(memory.as_banked(), config)));
                 }
-                Request::Store { word, responder } => {
+                Msg::Store { word, responder } => {
                     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
                         #[cfg(feature = "chaos")]
                         inject(shared, fault::FaultSite::Store);
@@ -1702,9 +1539,9 @@ fn dispatch(
                     match outcome {
                         Ok(result) => {
                             // ORDERING: Relaxed — advisory coverage
-                            // denominator (see `enqueue_search`); the
-                            // store's result itself travels through
-                            // the one-shot.
+                            // denominator (see `enqueue`); the store's
+                            // result itself travels through the
+                            // one-shot.
                             shared
                                 .n_banks
                                 .store(memory.as_banked().n_banks(), Ordering::Relaxed);
@@ -1726,7 +1563,7 @@ fn dispatch(
                         }
                     }
                 }
-                opener @ (Request::Search(_) | Request::TopK(_)) => {
+                opener @ Msg::Search(_) => {
                     let mut window = Window::open(config.max_batch, config.max_wait);
                     pending = window.take(opener, shared);
                     // While the window is open, block for more searches.
@@ -1737,21 +1574,21 @@ fn dispatch(
                             break; // window due: never re-arm a zero wait
                         };
                         match rx.recv_timeout(timeout) {
-                            Ok(request) => pending = window.take(request, shared),
+                            Ok(msg) => pending = window.take(msg, shared),
                             Err(_) => break,
                         }
                     }
                     // Once it is due, take what is already queued without
                     // blocking: work-conserving, with no clock read.
                     while pending.is_none() && window.wants_more() {
-                        let Ok(request) = rx.try_recv() else { break };
-                        pending = window.take(request, shared);
+                        let Ok(msg) = rx.try_recv() else { break };
+                        pending = window.take(msg, shared);
                     }
                     if let Err(BatchPanic { tripped }) =
                         execute_window(&memory, window, shared, config.precision, &mut breaker)
                     {
                         if tripped {
-                            // Carry the interrupting request into the
+                            // Carry the interrupting message into the
                             // drain, so the breaker trip answers it
                             // too.
                             leftover = pending.take();
@@ -1765,11 +1602,8 @@ fn dispatch(
     // Drain: answer anything still queued so no client blocks forever.
     // An orderly exit answers with `ShuttingDown`, a breaker-tripped
     // (terminal `Failed`) one with `DispatcherFailed`.
-    if let Some(request) = leftover {
-        answer_exit(request, shared);
-    }
-    while let Ok(request) = rx.try_recv() {
-        answer_exit(request, shared);
+    for msg in leftover.into_iter().chain(rx.try_iter()) {
+        answer_exit(msg, shared);
     }
     memory.into_banked()
 }
@@ -1788,21 +1622,17 @@ fn exit_error(shared: &Shared) -> ServeError {
     }
 }
 
-/// Answers one drained request with the dispatcher's exit error.
-fn answer_exit(request: Request, shared: &Shared) {
-    match request {
-        // ORDERING: Relaxed — slot releases; see `release_slot`.
-        Request::Search(PendingSearch { responder, .. }) => {
+/// Answers one drained message with the dispatcher's exit error.
+fn answer_exit(msg: Msg, shared: &Shared) {
+    match msg {
+        Msg::Search(search) => {
+            // ORDERING: Relaxed — slot release; see `release_slot`.
             shared.depth.fetch_sub(1, Ordering::Relaxed);
-            responder.fulfill(Err(exit_error(shared)));
+            search.reply.fail(exit_error(shared));
         }
-        Request::TopK(PendingTopK { responder, .. }) => {
-            shared.depth.fetch_sub(1, Ordering::Relaxed);
-            responder.fulfill(Err(exit_error(shared)));
-        }
-        Request::Store { responder, .. } => responder.fulfill(Err(exit_error(shared))),
-        Request::Report { responder } => responder.fulfill(Err(exit_error(shared))),
-        Request::Shutdown => {}
+        Msg::Store { responder, .. } => responder.fulfill(Err(exit_error(shared))),
+        Msg::Report { responder } => responder.fulfill(Err(exit_error(shared))),
+        Msg::Shutdown => {}
     }
 }
 
@@ -1847,6 +1677,20 @@ fn inject(shared: &Shared, site: fault::FaultSite) {
     }
 }
 
+/// Outcome of a batch that panicked under `catch_unwind` supervision:
+/// whether the restart it counted tripped the breaker into the
+/// terminal `Failed` state.
+struct BatchPanic {
+    tripped: bool,
+}
+
+/// Winner searches of one metric group: queries and their responders,
+/// in arrival order.
+type WinnerGroup = Vec<(Vec<u8>, Responder<(usize, f64)>)>;
+/// Top-k searches of one metric group: queries, requested `k`, and
+/// responders, in arrival order.
+type TopKGroup = Vec<(Vec<u8>, usize, Responder<Vec<(usize, f64)>>)>;
+
 /// Executes one collected micro-batch and fans the results out. The
 /// window is grouped by per-request [`Metric`] — a window is almost
 /// always uniform, so the grouping degenerates to one group. Each
@@ -1856,13 +1700,6 @@ fn inject(shared: &Shared, site: fault::FaultSite) {
 /// prefix of the `k_max` list, so results stay bit-identical to solo
 /// execution).
 ///
-/// Outcome of a batch that panicked under `catch_unwind` supervision:
-/// whether the restart it counted tripped the breaker into the
-/// terminal `Failed` state.
-struct BatchPanic {
-    tripped: bool,
-}
-
 /// The sweeps run under `catch_unwind`: a panic counts the restart
 /// against `breaker` (so the restart — and a tripped breaker's
 /// terminal `failed` flag — is visible before any waiter wakes), then
@@ -1872,34 +1709,33 @@ struct BatchPanic {
 /// here — an unwind can never drop a live responder.
 fn execute_window(
     memory: &ServeMemory,
-    mut window: Window,
+    window: Window,
     shared: &Shared,
     precision: Precision,
     breaker: &mut RestartBreaker,
 ) -> Result<(), BatchPanic> {
-    if window.is_empty() {
+    if window.searches.is_empty() {
         return Ok(());
     }
     let exec_start = Instant::now();
-    let size = window.len();
-    let n_topk = window.topks.len();
+    let size = window.searches.len();
     let waits: Vec<Duration> = window
         .searches
         .iter()
-        .map(|s| s.submitted)
-        .chain(window.topks.iter().map(|t| t.submitted))
-        .map(|submitted| exec_start.saturating_duration_since(submitted))
+        .map(|s| exec_start.saturating_duration_since(s.submitted))
         .collect();
-    // Group by request metric; arrival order is preserved within each
-    // group, and a uniform window fills exactly one slot.
-    let mut search_groups: [Vec<PendingSearch>; N_METRICS] = Default::default();
-    for s in window.searches.drain(..) {
-        search_groups[s.metric.index()].push(s);
+    // Group by request metric and answer kind; arrival order is
+    // preserved within each group, and a uniform window fills exactly
+    // one slot.
+    let mut winner_groups: [WinnerGroup; N_METRICS] = Default::default();
+    let mut topk_groups: [TopKGroup; N_METRICS] = Default::default();
+    for s in window.searches {
+        match s.reply {
+            Reply::Top1(r) => winner_groups[s.metric.index()].push((s.query, r)),
+            Reply::TopK(k, r) => topk_groups[s.metric.index()].push((s.query, k, r)),
+        }
     }
-    let mut topk_groups: [Vec<PendingTopK>; N_METRICS] = Default::default();
-    for t in window.topks.drain(..) {
-        topk_groups[t.metric.index()].push(t);
-    }
+    let n_topk = topk_groups.iter().map(Vec::len).sum();
     type Sweep<T> = Option<femcam_core::Result<T>>;
     type TopKSweeps = [Sweep<Vec<Vec<(usize, f64)>>>; N_METRICS];
     let sweeps = std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -1907,11 +1743,11 @@ fn execute_window(
         inject(shared, fault::FaultSite::PreBatch);
         let mut winners: [Sweep<Vec<(usize, f64)>>; N_METRICS] = Default::default();
         for metric in Metric::ALL {
-            let group = &search_groups[metric.index()];
+            let group = &winner_groups[metric.index()];
             if group.is_empty() {
                 continue;
             }
-            let queries: Vec<&[u8]> = group.iter().map(|s| s.query.as_slice()).collect();
+            let queries: Vec<&[u8]> = group.iter().map(|(q, _)| q.as_slice()).collect();
             let spec = SearchSpec { precision, metric };
             winners[metric.index()] = Some(memory.search_batch_winners_with(&queries, spec));
         }
@@ -1921,8 +1757,8 @@ fn execute_window(
             if group.is_empty() {
                 continue;
             }
-            let k_max = group.iter().map(|t| t.k).max().unwrap_or(0);
-            let queries: Vec<&[u8]> = group.iter().map(|t| t.query.as_slice()).collect();
+            let k_max = group.iter().map(|&(_, k, _)| k).max().unwrap_or(0);
+            let queries: Vec<&[u8]> = group.iter().map(|(q, _, _)| q.as_slice()).collect();
             let spec = SearchSpec { precision, metric };
             topk_hits[metric.index()] = Some(memory.search_batch_top_k_with(&queries, k_max, spec));
         }
@@ -1940,15 +1776,14 @@ fn execute_window(
             let tripped = note_restart(shared, breaker);
             // ORDERING: Relaxed — batch slot release; see `release_slot`.
             shared.depth.fetch_sub(size, Ordering::Relaxed);
-            for s in search_groups.iter_mut().flat_map(|g| g.drain(..)) {
-                s.responder.fulfill(Err(ServeError::DispatcherFailed {
-                    detail: detail.clone(),
-                }));
+            let failed = || ServeError::DispatcherFailed {
+                detail: detail.clone(),
+            };
+            for (_, r) in winner_groups.into_iter().flatten() {
+                r.fulfill(Err(failed()));
             }
-            for t in topk_groups.iter_mut().flat_map(|g| g.drain(..)) {
-                t.responder.fulfill(Err(ServeError::DispatcherFailed {
-                    detail: detail.clone(),
-                }));
+            for (_, _, r) in topk_groups.into_iter().flatten() {
+                r.fulfill(Err(failed()));
             }
             return Err(BatchPanic { tripped });
         }
@@ -1964,35 +1799,34 @@ fn execute_window(
     // rejected against a queue that is actually drained.
     // ORDERING: Relaxed — batch slot release; see `release_slot`.
     shared.depth.fetch_sub(size, Ordering::Relaxed);
-    for (group, sweep) in search_groups.iter_mut().zip(winners) {
+    // Queries were validated at admission, so a sweep-level failure
+    // (an empty memory) applies to every request in its group equally.
+    for (group, sweep) in winner_groups.into_iter().zip(winners) {
         match sweep {
             Some(Ok(hits)) => {
-                for (s, winner) in group.drain(..).zip(hits) {
-                    s.responder.fulfill(Ok(winner));
+                for ((_, r), winner) in group.into_iter().zip(hits) {
+                    r.fulfill(Ok(winner));
                 }
             }
-            // Queries were validated at admission, so a sweep-level
-            // failure (an empty memory) applies to every request in
-            // the group equally.
             Some(Err(e)) => {
-                for s in group.drain(..) {
-                    s.responder.fulfill(Err(ServeError::Core(e.clone())));
+                for (_, r) in group {
+                    r.fulfill(Err(ServeError::Core(e.clone())));
                 }
             }
             None => {}
         }
     }
-    for (group, sweep) in topk_groups.iter_mut().zip(topk_hits) {
+    for (group, sweep) in topk_groups.into_iter().zip(topk_hits) {
         match sweep {
             Some(Ok(per_query)) => {
-                for (t, mut hits) in group.drain(..).zip(per_query) {
-                    hits.truncate(t.k);
-                    t.responder.fulfill(Ok(hits));
+                for ((_, k, r), mut hits) in group.into_iter().zip(per_query) {
+                    hits.truncate(k);
+                    r.fulfill(Ok(hits));
                 }
             }
             Some(Err(e)) => {
-                for t in group.drain(..) {
-                    t.responder.fulfill(Err(ServeError::Core(e.clone())));
+                for (_, _, r) in group {
+                    r.fulfill(Err(ServeError::Core(e.clone())));
                 }
             }
             None => {}
@@ -2216,7 +2050,7 @@ mod tests {
     fn zero_budget_rejected_at_submission() {
         let server = McamServer::start(memory_with_rows(&[[0u8, 0, 0, 0]]), ServeConfig::default());
         let handle = server.handle();
-        match handle.search_with_deadline(&[0, 0, 0, 0], Duration::ZERO) {
+        match handle.search(Request::new(&[0, 0, 0, 0]).deadline(Duration::ZERO)) {
             Err(ServeError::DeadlineExceeded { budget, waited }) => {
                 assert_eq!(budget, Duration::ZERO);
                 assert_eq!(waited, Duration::ZERO);
@@ -2225,7 +2059,7 @@ mod tests {
         }
         // The top-k path shares the deadline contract.
         assert!(matches!(
-            handle.submit_top_k_with_deadline(&[0, 0, 0, 0], 2, Duration::ZERO),
+            handle.submit_top_k(Request::new(&[0, 0, 0, 0]).deadline(Duration::ZERO), 2),
             Err(ServeError::DeadlineExceeded { .. })
         ));
         assert_eq!(server.stats().deadline_rejected, 2);
@@ -2233,25 +2067,28 @@ mod tests {
         // zero budget — validation outranks the deadline check, and
         // the deadline counter must not move.
         assert!(matches!(
-            handle.submit_with_deadline(&[0, 0, 0], Duration::ZERO),
+            handle.submit(Request::new(&[0, 0, 0]).deadline(Duration::ZERO)),
             Err(ServeError::Core(CoreError::WordLengthMismatch { .. }))
         ));
         assert!(matches!(
-            handle.submit_top_k_with_deadline(&[0, 0, 0, 9], 2, Duration::ZERO),
+            handle.submit_top_k(Request::new(&[0, 0, 0, 9]).deadline(Duration::ZERO), 2),
             Err(ServeError::Core(CoreError::LevelOutOfRange { .. }))
         ));
         assert_eq!(server.stats().deadline_rejected, 2);
         // A generous budget answers normally and matches the
         // deadline-free path bitwise.
         let with = handle
-            .search_with_deadline(&[0, 0, 0, 1], Duration::from_secs(10))
+            .search(Request::new(&[0, 0, 0, 1]).deadline(Duration::from_secs(10)))
             .unwrap();
         let without = handle.search(&[0, 0, 0, 1]).unwrap();
         assert_eq!(with.0, without.0);
         assert_eq!(with.1.to_bits(), without.1.to_bits());
         assert_eq!(
             handle
-                .submit_top_k_with_deadline(&[0, 0, 0, 1], 1, Duration::from_secs(10))
+                .submit_top_k(
+                    Request::new(&[0, 0, 0, 1]).deadline(Duration::from_secs(10)),
+                    1
+                )
                 .unwrap()
                 .wait()
                 .unwrap(),
@@ -2273,7 +2110,7 @@ mod tests {
         let handle = server.handle();
         let started = Instant::now();
         let (row, _) = handle
-            .search_with_deadline(&[1, 1, 1, 1], Duration::from_millis(50))
+            .search(Request::new(&[1, 1, 1, 1]).deadline(Duration::from_millis(50)))
             .unwrap();
         assert_eq!(row, 1);
         assert!(
@@ -2291,7 +2128,7 @@ mod tests {
         let server = McamServer::start(memory_with_rows(&[[0u8, 0, 0, 0]]), ServeConfig::default());
         let handle = server.handle();
         let ticket = handle
-            .submit_with_deadline(&[0, 0, 0, 1], Duration::from_nanos(1))
+            .submit(Request::new(&[0, 0, 0, 1]).deadline(Duration::from_nanos(1)))
             .unwrap();
         match ticket.wait() {
             Err(ServeError::DeadlineExceeded { waited, .. }) => {

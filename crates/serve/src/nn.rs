@@ -16,7 +16,7 @@ use crate::{
     McamServer, ServeConfig, ServeError, ServeStats, ServingHandle, ServingTicket, ShardedServer,
 };
 
-/// How long `query_batch` waits out a queue saturated by traffic that
+/// How long a query waits out a queue saturated by traffic that
 /// is not its own before propagating the overload to the caller —
 /// time-based (many batch executions), so the patience always spans
 /// several batch drains regardless of how fast the retry loop spins.
@@ -93,8 +93,19 @@ impl Backoff {
 /// micro-batches, and results stay bit-identical to a direct
 /// [`BankedMcam::search_batch_winners_with`] at the configured precision.
 ///
-/// `k`-nearest queries follow the uniform [`NnIndex::query_k`] clamp
-/// contract via the server's top-k endpoint.
+/// Every query face — [`NnIndex::query`], [`NnIndex::query_k`],
+/// [`NnIndex::query_batch`], [`NnIndex::query_k_batch`] and
+/// [`query_with_coverage`](Self::query_with_coverage) — quantizes its
+/// features into one [`Request`](crate::Request) per query and runs
+/// them through one pipelined loop over [`ServingTicket`]s: batches
+/// keep submitting so the dispatcher coalesces them, drain their own
+/// oldest ticket when the queue pushes back, and wait out a queue
+/// saturated by foreign traffic with a jittered, bounded backoff
+/// before reporting [`CoreError::Overloaded`]. `k`-nearest queries use
+/// the server's top-k endpoint and follow the uniform
+/// [`NnIndex::query_k`] clamp contract; a batch of them coalesces like
+/// winner traffic, bit-identically (a top-`k` list is a prefix of the
+/// window's top-`k_max` list).
 #[derive(Debug)]
 pub struct ServedNn {
     quantizer: Quantizer,
@@ -287,12 +298,15 @@ impl ServedNn {
         &self,
         features: &[f32],
     ) -> femcam_core::Result<(QueryResult, Coverage)> {
-        let levels = self.quantizer.quantize(features)?;
+        let levels = [self.quantizer.quantize(features)?];
         let covered = self
-            .handle
-            .submit(&levels)
-            .and_then(ServingTicket::wait_covered)
-            .map_err(CoreError::from)?;
+            .pipeline(
+                &levels,
+                |q| self.handle.submit(q),
+                ServingTicket::wait_covered,
+            )?
+            .pop()
+            .ok_or(CoreError::EmptyArray)?;
         self.record_coverage(&covered.coverage);
         let (index, score) = covered.value;
         Ok((self.result(index, score)?, covered.coverage))
@@ -329,6 +343,71 @@ impl ServedNn {
             }),
         }
     }
+
+    fn results(&self, hits: Vec<(usize, f64)>) -> femcam_core::Result<Vec<QueryResult>> {
+        hits.into_iter()
+            .map(|(index, score)| self.result(index, score))
+            .collect()
+    }
+
+    fn quantize_all(&self, queries: &[&[f32]]) -> femcam_core::Result<Vec<Vec<u8>>> {
+        queries.iter().map(|q| self.quantizer.quantize(q)).collect()
+    }
+
+    /// Runs every query word through the server, one answer per word
+    /// in query order — the one loop behind every query face.
+    ///
+    /// Adaptive pipelining: keep submitting (so the dispatcher can
+    /// coalesce micro-batches) and, whenever admission control pushes
+    /// back because this call filled the queue, drain the oldest
+    /// in-flight ticket to free a slot instead of failing. When
+    /// foreign traffic saturates the queue with none of this call's
+    /// work outstanding, back off (jittered, exponential, bounded at
+    /// about one batch execution) and give up once
+    /// [`OVERLOAD_PATIENCE`] is spent, reporting how long the queue
+    /// stayed saturated. Tickets drain in submission order.
+    fn pipeline<T, R>(
+        &self,
+        levels: &[Vec<u8>],
+        submit: impl Fn(&[u8]) -> Result<ServingTicket<T>, ServeError>,
+        wait: impl Fn(ServingTicket<T>) -> Result<R, ServeError>,
+    ) -> femcam_core::Result<Vec<R>> {
+        let mut out = Vec::with_capacity(levels.len());
+        let mut in_flight: VecDeque<ServingTicket<T>> = VecDeque::new();
+        let mut overloaded_since: Option<Instant> = None;
+        let mut backoff = Backoff::new();
+        let mut pending = levels.iter();
+        let mut next = pending.next();
+        while let Some(level) = next {
+            match submit(level) {
+                Ok(ticket) => {
+                    in_flight.push_back(ticket);
+                    overloaded_since = None;
+                    backoff.reset();
+                    next = pending.next();
+                }
+                Err(ServeError::Overloaded { .. }) => {
+                    if let Some(ticket) = in_flight.pop_front() {
+                        out.push(wait(ticket).map_err(CoreError::from)?);
+                    } else {
+                        let since = *overloaded_since.get_or_insert_with(Instant::now);
+                        let waited = since.elapsed();
+                        if waited > OVERLOAD_PATIENCE {
+                            return Err(CoreError::Overloaded {
+                                waited_us: u64::try_from(waited.as_micros()).unwrap_or(u64::MAX),
+                            });
+                        }
+                        std::thread::sleep(backoff.next_delay());
+                    }
+                }
+                Err(e) => return Err(CoreError::from(e)),
+            }
+        }
+        for ticket in in_flight {
+            out.push(wait(ticket).map_err(CoreError::from)?);
+        }
+        Ok(out)
+    }
 }
 
 impl NnIndex for ServedNn {
@@ -358,109 +437,28 @@ impl NnIndex for ServedNn {
     }
 
     fn query(&self, features: &[f32]) -> femcam_core::Result<QueryResult> {
-        let levels = self.quantizer.quantize(features)?;
-        let covered = self
-            .handle
-            .submit(&levels)
-            .and_then(ServingTicket::wait_covered)
-            .map_err(CoreError::from)?;
-        self.record_coverage(&covered.coverage);
-        let (index, score) = covered.value;
-        self.result(index, score)
+        self.query_with_coverage(features).map(|(result, _)| result)
     }
 
     fn query_k(&self, features: &[f32], k: usize) -> femcam_core::Result<Vec<QueryResult>> {
-        let levels = self.quantizer.quantize(features)?;
-        // Top-k went under admission control when it joined the
-        // batching window (it used to run as an admission-exempt
-        // barrier), so transient saturation by foreign traffic can
-        // reject it — wait it out with the same bounded backoff as
-        // `query_batch` instead of failing a previously
-        // always-answered call.
-        let mut overloaded_since: Option<Instant> = None;
-        let mut backoff = Backoff::new();
-        let hits = loop {
-            match self.handle.search_top_k(&levels, k) {
-                Ok(hits) => break hits,
-                Err(ServeError::Overloaded { .. }) => {
-                    let since = *overloaded_since.get_or_insert_with(Instant::now);
-                    let waited = since.elapsed();
-                    if waited > OVERLOAD_PATIENCE {
-                        return Err(CoreError::Overloaded {
-                            waited_us: u64::try_from(waited.as_micros()).unwrap_or(u64::MAX),
-                        });
-                    }
-                    std::thread::sleep(backoff.next_delay());
-                }
-                Err(e) => return Err(CoreError::from(e)),
-            }
-        };
-        hits.into_iter()
-            .map(|(index, score)| self.result(index, score))
-            .collect()
+        let levels = [self.quantizer.quantize(features)?];
+        let hits = self
+            .pipeline(
+                &levels,
+                |q| self.handle.submit_top_k(q, k),
+                ServingTicket::wait,
+            )?
+            .pop()
+            .ok_or(CoreError::EmptyArray)?;
+        self.results(hits)
     }
 
     fn query_batch(&self, queries: &[&[f32]]) -> femcam_core::Result<Vec<QueryResult>> {
         if self.is_empty() {
             return Err(CoreError::EmptyArray);
         }
-        let levels: Vec<Vec<u8>> = queries
-            .iter()
-            .map(|q| self.quantizer.quantize(q))
-            .collect::<femcam_core::Result<_>>()?;
-        let mut out = Vec::with_capacity(levels.len());
-        // Adaptive pipelining: keep submitting (so the dispatcher can
-        // coalesce micro-batches) and, whenever admission control
-        // pushes back — because this batch filled the queue or foreign
-        // traffic through other handles did — drain the oldest
-        // in-flight ticket to free a slot instead of failing the whole
-        // batch. Tickets drain in submission order, so `out` stays in
-        // query order.
-        let mut in_flight: VecDeque<ServingTicket> = VecDeque::new();
-        let mut overloaded_since: Option<Instant> = None;
-        let mut backoff = Backoff::new();
-        let mut pending = levels.iter();
-        let mut next = pending.next();
-        while let Some(level) = next {
-            match self.handle.submit(level) {
-                Ok(ticket) => {
-                    in_flight.push_back(ticket);
-                    overloaded_since = None;
-                    backoff.reset();
-                    next = pending.next();
-                }
-                Err(ServeError::Overloaded { .. }) => {
-                    if let Some(ticket) = in_flight.pop_front() {
-                        // Our own work fills the queue: drain the
-                        // oldest ticket to free a slot.
-                        let (index, score) = ticket.wait().map_err(CoreError::from)?;
-                        out.push(self.result(index, score)?);
-                    } else {
-                        // Foreign traffic saturates the queue with none
-                        // of our own work outstanding: back off
-                        // exponentially (bounded at about one batch
-                        // execution) instead of hammering the saturated
-                        // queue, and give up once the patience budget
-                        // is spent — surfacing how long the queue
-                        // stayed saturated.
-                        let since = *overloaded_since.get_or_insert_with(Instant::now);
-                        let waited = since.elapsed();
-                        if waited > OVERLOAD_PATIENCE {
-                            return Err(CoreError::Overloaded {
-                                waited_us: u64::try_from(waited.as_micros()).unwrap_or(u64::MAX),
-                            });
-                        }
-                        std::thread::sleep(backoff.next_delay());
-                    }
-                }
-                Err(e) => return Err(CoreError::from(e)),
-            }
-        }
-        for ticket in in_flight {
-            let (index, score) = ticket.wait().map_err(CoreError::from)?;
-            out.push(self.result(index, score)?);
-        }
-        Ok(out)
+        let levels = self.quantize_all(queries)?;
+        self.results(self.pipeline(&levels, |q| self.handle.submit(q), ServingTicket::wait)?)
     }
 
     fn query_k_batch(
@@ -471,7 +469,15 @@ impl NnIndex for ServedNn {
         if self.is_empty() {
             return Err(CoreError::EmptyArray);
         }
-        queries.iter().map(|q| self.query_k(q, k)).collect()
+        let levels = self.quantize_all(queries)?;
+        self.pipeline(
+            &levels,
+            |q| self.handle.submit_top_k(q, k),
+            ServingTicket::wait,
+        )?
+        .into_iter()
+        .map(|hits| self.results(hits))
+        .collect()
     }
 
     fn name(&self) -> String {
@@ -617,6 +623,45 @@ mod tests {
             let single = served.query(q).unwrap();
             assert_eq!((b.index, b.score), (single.index, single.score));
         }
+    }
+
+    /// A single query waits out foreign overload like a batch does:
+    /// three forced admission rejections, then the answer.
+    #[cfg(feature = "chaos")]
+    #[test]
+    fn query_waits_out_transient_overload() {
+        use crate::fault::{FaultKind, FaultPlan, FaultRule, FaultSite};
+        let (features, labels) = clustered_data();
+        let (mut reference, _) = build_served(Precision::F64, 4);
+        let plan = FaultPlan::armed(
+            7,
+            vec![FaultRule::sure(
+                FaultSite::Admission,
+                FaultKind::Overload,
+                3,
+            )],
+        );
+        let ladder = LevelLadder::new(3).unwrap();
+        let lut = ConductanceLut::from_device(&FefetModel::default(), &ladder);
+        let mut served = ServedNn::new(
+            reference.quantizer.clone(),
+            BankedMcam::new(ladder, lut, 3, 4),
+            ServeConfig {
+                faults: Some(plan.clone()),
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
+        for (f, &l) in features.iter().zip(&labels) {
+            served.add(f, l).unwrap();
+            reference.add(f, l).unwrap();
+        }
+        let got = served.query(&features[3]).unwrap();
+        let want = reference.query(&features[3]).unwrap();
+        assert_eq!((got.index, got.label), (want.index, want.label));
+        assert_eq!(got.score.to_bits(), want.score.to_bits());
+        assert_eq!(plan.injected(FaultSite::Admission), 3);
+        assert_eq!(served.stats().rejected, 3);
     }
 
     #[test]

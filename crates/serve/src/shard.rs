@@ -34,14 +34,14 @@ use femcam_core::sync::{Mutex, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use femcam_core::exec::validate_query;
-use femcam_core::{BankedMcam, CoreError, LshRouter, Metric, RoutedMcam};
+use femcam_core::{BankedMcam, CoreError, LshRouter, RoutedMcam};
 
 #[cfg(feature = "chaos")]
 use crate::fault;
 use crate::health::{Coverage, Covered, DegradedPolicy, HealthBoard, ShardHealth};
 use crate::{
-    McamServer, MemoryReport, ServeConfig, ServeError, ServeHandle, ServeStats, Ticket, TopKTicket,
+    McamServer, MemoryReport, Reply, Request, Responder, ServeConfig, ServeError, ServeHandle,
+    ServeStats, Ticket,
 };
 
 /// Client-level counters a [`ShardedHandle`] keeps in addition to the
@@ -826,10 +826,22 @@ struct FanOut<T> {
 }
 
 impl ShardedHandle {
-    /// Submits one query to every shard without blocking; the returned
-    /// [`ShardTicket`] merges the per-shard winners. Queries are
-    /// validated here, synchronously, exactly like
+    /// Submits one search to every shard without blocking; the
+    /// returned [`ShardTicket`] merges the per-shard winners.
+    /// `request` is a bare query word or a [`Request`] with a
+    /// per-request [`Metric`](femcam_core::Metric) and deadline, and
+    /// is checked here, synchronously, exactly like
     /// [`ServeHandle::submit`].
+    ///
+    /// Every contacted shard answers under the request's metric, and
+    /// the merge order (ascending distance, exact ties to the lowest
+    /// global row) is metric-independent, so the merged winner is
+    /// bit-identical to [`BankedMcam::search_batch_winners_with`] over
+    /// the unpartitioned memory. Routing (when present) stays
+    /// metric-agnostic — only the shard sweeps honor the metric. A
+    /// deadline's instant fans to every shard, and the merged request
+    /// reports [`ServeError::DeadlineExceeded`] if any shard could not
+    /// execute it in time (a partial merge is never returned).
     ///
     /// # Errors
     ///
@@ -837,79 +849,84 @@ impl ShardedHandle {
     /// all-or-nothing — a slot is reserved on *every* shard before
     /// anything is enqueued, so a rejection by one shard never leaves
     /// the others executing work nobody waits for.
-    pub fn submit(&self, query: &[u8]) -> Result<ShardTicket, ServeError> {
-        self.submit_at(query, None, Metric::default())
+    pub fn submit<'q>(&self, request: impl Into<Request<'q>>) -> Result<ShardTicket, ServeError> {
+        self.submit_as(request.into(), Reply::Top1, 1, merge_winner)
     }
 
-    /// [`submit`](Self::submit) at a chosen per-request [`Metric`]:
-    /// every contacted shard answers under `metric` semantics, and the
-    /// merge order (ascending distance, exact ties to the lowest
-    /// global row) is metric-independent, so the merged winner is
-    /// bit-identical to [`BankedMcam::search_batch_winners_with`] over the
-    /// unpartitioned memory. Routing (when present) stays
-    /// metric-agnostic — only the shard sweeps honor the metric.
+    /// Submits one top-k search to every shard without blocking; the
+    /// returned [`ShardTopKTicket`] merges the per-shard candidate
+    /// lists by ascending `(conductance, global_row)` and truncates to
+    /// `k` — bit-identical to [`BankedMcam::search_batch_top_k_with`]
+    /// over the unpartitioned memory. `k` is clamped, never an error.
     ///
     /// # Errors
     ///
     /// Same conditions as [`submit`](Self::submit).
-    pub fn submit_with_metric(
+    pub fn submit_top_k<'q>(
         &self,
-        query: &[u8],
-        metric: Metric,
-    ) -> Result<ShardTicket, ServeError> {
-        self.submit_at(query, None, metric)
+        request: impl Into<Request<'q>>,
+        k: usize,
+    ) -> Result<ShardTopKTicket, ServeError> {
+        let ticket = self.submit_as(request.into(), move |r| Reply::TopK(k, r), k, merge_top_k)?;
+        // ORDERING: Relaxed — monotone client-stats counter.
+        self.topo
+            .counters
+            .topk_submitted
+            .fetch_add(1, Ordering::Relaxed);
+        Ok(ticket)
     }
 
-    /// [`submit_with_metric`](Self::submit_with_metric), blocking for
-    /// the merged winner.
+    /// [`submit`](Self::submit), blocking for the merged
+    /// `(global_row, total_conductance)` winner.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`submit`](Self::submit) and
+    /// [`ShardTicket::wait`].
+    pub fn search<'q>(&self, request: impl Into<Request<'q>>) -> Result<(usize, f64), ServeError> {
+        self.submit(request)?.wait()
+    }
+
+    /// [`submit_top_k`](Self::submit_top_k), blocking for the merged
+    /// `k` nearest rows, nearest first.
     ///
     /// # Errors
     ///
     /// Same conditions as [`search`](Self::search).
-    pub fn search_with_metric(
+    pub fn search_top_k<'q>(
         &self,
-        query: &[u8],
-        metric: Metric,
-    ) -> Result<(usize, f64), ServeError> {
-        self.submit_with_metric(query, metric)?.wait()
+        request: impl Into<Request<'q>>,
+        k: usize,
+    ) -> Result<Vec<(usize, f64)>, ServeError> {
+        self.submit_top_k(request, k)?.wait()
     }
 
-    /// Like [`submit`](Self::submit) with a per-request deadline: the
-    /// same deadline instant fans to every shard, and the merged
-    /// request reports [`ServeError::DeadlineExceeded`] if any shard
-    /// could not execute it in time (a partial merge is never
-    /// returned).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ServeHandle::submit_with_deadline`].
-    pub fn submit_with_deadline(
+    /// The one admission path: validate, reject a zero budget (counted
+    /// once, at the client level), route, then fan out.
+    fn submit_as<T>(
         &self,
-        query: &[u8],
-        budget: Duration,
-    ) -> Result<ShardTicket, ServeError> {
-        validate_query(self.word_len, self.n_levels, query)?;
-        let deadline = self.deadline_for(budget)?;
-        self.submit_at(query, Some((deadline, budget)), Metric::default())
-    }
-
-    /// Converts a request budget into an absolute deadline; a zero
-    /// budget is dead on arrival. Callers validate the query *first*,
-    /// so a malformed request always reports its validation error,
-    /// never `DeadlineExceeded`.
-    fn deadline_for(&self, budget: Duration) -> Result<Instant, ServeError> {
-        if budget.is_zero() {
-            // ORDERING: Relaxed — monotone client-stats counter.
-            self.topo
-                .counters
-                .deadline_rejected
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::DeadlineExceeded {
-                budget,
-                waited: Duration::ZERO,
-            });
-        }
-        Ok(Instant::now() + budget)
+        request: Request<'_>,
+        reply: impl Fn(Responder<T>) -> Reply,
+        k: usize,
+        merge: Merge<T>,
+    ) -> Result<ShardTicket<T>, ServeError> {
+        let deadline = request.check(
+            self.word_len,
+            self.n_levels,
+            &self.topo.counters.deadline_rejected,
+        )?;
+        let targets = self.route_targets(request.query)?;
+        let fan = self.fan_out(&targets, |shard| shard.enqueue(&request, deadline, &reply));
+        let fan = self.deadline_outranks(fan, deadline.zip(request.budget))?;
+        Ok(ShardTicket {
+            parts: fan.parts,
+            lost_banks: fan.lost_banks,
+            k,
+            merge,
+            shard_deadline: self.shard_timeout.map(|t| Instant::now() + t),
+            policy: self.policy,
+            topo: Arc::clone(&self.topo),
+        })
     }
 
     /// Error precedence at the fan-out boundary: a request whose
@@ -1123,165 +1140,6 @@ impl ShardedHandle {
         Ok(targets)
     }
 
-    fn submit_at(
-        &self,
-        query: &[u8],
-        deadline: Option<(Instant, Duration)>,
-        metric: Metric,
-    ) -> Result<ShardTicket, ServeError> {
-        validate_query(self.word_len, self.n_levels, query)?;
-        let targets = self.route_targets(query)?;
-        let enqueue_deadline = deadline.map(|(instant, _)| instant);
-        let fan = self.deadline_outranks(
-            self.fan_out(&targets, |shard| {
-                shard.enqueue_search(query, enqueue_deadline, metric)
-            }),
-            deadline,
-        )?;
-        Ok(ShardTicket {
-            parts: fan.parts,
-            lost_banks: fan.lost_banks,
-            shard_deadline: self.shard_timeout.map(|t| Instant::now() + t),
-            policy: self.policy,
-            topo: Arc::clone(&self.topo),
-        })
-    }
-
-    /// Submits one query to every shard and blocks for the merged
-    /// `(global_row, total_conductance)` winner — bit-identical to
-    /// [`BankedMcam::search_batch_winners_with`] over the unpartitioned memory at
-    /// the shards' precision.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`submit`](Self::submit) and
-    /// [`ShardTicket::wait`].
-    pub fn search(&self, query: &[u8]) -> Result<(usize, f64), ServeError> {
-        self.submit(query)?.wait()
-    }
-
-    /// [`submit_with_deadline`](Self::submit_with_deadline), blocking
-    /// for the merged winner.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`submit_with_deadline`](Self::submit_with_deadline) and
-    /// [`ShardTicket::wait`].
-    pub fn search_with_deadline(
-        &self,
-        query: &[u8],
-        budget: Duration,
-    ) -> Result<(usize, f64), ServeError> {
-        self.submit_with_deadline(query, budget)?.wait()
-    }
-
-    /// Submits one top-k query to every shard without blocking; the
-    /// returned [`ShardTopKTicket`] merges the per-shard candidate
-    /// lists by ascending `(conductance, global_row)` and truncates to
-    /// `k` — bit-identical to [`BankedMcam::search_batch_top_k_with`] over
-    /// the unpartitioned memory. `k` is clamped, never an error.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`submit`](Self::submit).
-    pub fn submit_top_k(&self, query: &[u8], k: usize) -> Result<ShardTopKTicket, ServeError> {
-        self.submit_top_k_at(query, k, None, Metric::default())
-    }
-
-    /// [`submit_top_k`](Self::submit_top_k) at a chosen per-request
-    /// [`Metric`] — the top-k face of
-    /// [`submit_with_metric`](Self::submit_with_metric).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`submit_top_k`](Self::submit_top_k).
-    pub fn submit_top_k_with_metric(
-        &self,
-        query: &[u8],
-        k: usize,
-        metric: Metric,
-    ) -> Result<ShardTopKTicket, ServeError> {
-        self.submit_top_k_at(query, k, None, metric)
-    }
-
-    /// The merged `k` nearest rows under a chosen per-request
-    /// [`Metric`], nearest first — blocking face of
-    /// [`submit_top_k_with_metric`](Self::submit_top_k_with_metric).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`search_top_k`](Self::search_top_k).
-    pub fn search_top_k_with_metric(
-        &self,
-        query: &[u8],
-        k: usize,
-        metric: Metric,
-    ) -> Result<Vec<(usize, f64)>, ServeError> {
-        self.submit_top_k_with_metric(query, k, metric)?.wait()
-    }
-
-    /// Like [`submit_top_k`](Self::submit_top_k) with a per-request
-    /// deadline — the same semantics as
-    /// [`submit_with_deadline`](Self::submit_with_deadline).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`submit_with_deadline`](Self::submit_with_deadline).
-    pub fn submit_top_k_with_deadline(
-        &self,
-        query: &[u8],
-        k: usize,
-        budget: Duration,
-    ) -> Result<ShardTopKTicket, ServeError> {
-        validate_query(self.word_len, self.n_levels, query)?;
-        let deadline = self.deadline_for(budget)?;
-        self.submit_top_k_at(query, k, Some((deadline, budget)), Metric::default())
-    }
-
-    fn submit_top_k_at(
-        &self,
-        query: &[u8],
-        k: usize,
-        deadline: Option<(Instant, Duration)>,
-        metric: Metric,
-    ) -> Result<ShardTopKTicket, ServeError> {
-        validate_query(self.word_len, self.n_levels, query)?;
-        let targets = self.route_targets(query)?;
-        let enqueue_deadline = deadline.map(|(instant, _)| instant);
-        let fan = self.deadline_outranks(
-            self.fan_out(&targets, |shard| {
-                shard.enqueue_top_k(query, k, enqueue_deadline, metric)
-            }),
-            deadline,
-        )?;
-        // ORDERING: Relaxed — monotone client-stats counter.
-        self.topo
-            .counters
-            .topk_submitted
-            .fetch_add(1, Ordering::Relaxed);
-        Ok(ShardTopKTicket {
-            parts: fan.parts,
-            lost_banks: fan.lost_banks,
-            k,
-            shard_deadline: self.shard_timeout.map(|t| Instant::now() + t),
-            policy: self.policy,
-            topo: Arc::clone(&self.topo),
-        })
-    }
-
-    /// The merged `k` nearest rows for one query, nearest first —
-    /// blocking face of [`submit_top_k`](Self::submit_top_k).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`submit_top_k`](Self::submit_top_k) and
-    /// [`ShardTopKTicket::wait`].
-    pub fn search_top_k(&self, query: &[u8], k: usize) -> Result<Vec<(usize, f64)>, ServeError> {
-        self.submit_top_k(query, k)?.wait()
-    }
-
     /// Stores one word through the tail shard's dispatcher and blocks
     /// until applied; returns the new **global** row index — the same
     /// index an unsharded server (or a direct
@@ -1393,35 +1251,83 @@ impl ShardedHandle {
     }
 }
 
-/// An in-flight fanned winner search: wait on it to receive the
-/// merged `(global_row, total_conductance)` winner.
+/// Folds the answering shards' local answers — each paired with its
+/// shard's global row base, in ascending shard order — into the merged
+/// answer at depth `k`; `None` when no shard had rows to contribute.
+type Merge<T> = fn(Vec<(usize, T)>, usize) -> Option<T>;
+
+/// The winner fold: shards fold in ascending global-row order with a
+/// strict `<`, so exact cross-shard ties keep the earlier (lower
+/// global row) winner — identical to the in-memory banked merge.
+fn merge_winner(answers: Vec<(usize, (usize, f64))>, _k: usize) -> Option<(usize, f64)> {
+    let mut best: Option<(usize, f64)> = None;
+    for (row_base, (local, g)) in answers {
+        if best.is_none_or(|(_, bg)| g < bg) {
+            best = Some((row_base + local, g));
+        }
+    }
+    best
+}
+
+/// The top-k fold: every global top-`k` row is within its own shard's
+/// top-`k`, so sorting the candidates by ascending
+/// `(conductance, global_row)` and truncating to `k` loses nothing over
+/// the covered banks.
+fn merge_top_k(answers: Vec<(usize, Vec<(usize, f64)>)>, k: usize) -> Option<Vec<(usize, f64)>> {
+    if answers.is_empty() {
+        return None;
+    }
+    let mut hits: Vec<(usize, f64)> = answers
+        .into_iter()
+        .flat_map(|(row_base, hits)| {
+            hits.into_iter()
+                .map(move |(local, g)| (row_base + local, g))
+        })
+        .collect();
+    hits.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+    hits.truncate(k);
+    Some(hits)
+}
+
+/// An in-flight fanned search: wait on it to receive the merged answer
+/// — the `(global_row, total_conductance)` winner of a
+/// [`ShardedHandle::submit`], or the hits of a
+/// [`ShardedHandle::submit_top_k`], nearest first
+/// ([`ShardTopKTicket`]).
 #[derive(Debug)]
-pub struct ShardTicket {
+pub struct ShardTicket<T = (usize, f64)> {
     /// Per-shard stakes, ascending shard (and so global-row) order.
-    parts: Vec<Part<Ticket>>,
+    parts: Vec<Part<Ticket<T>>>,
     /// Banks lost before enqueue (quarantined shards).
     lost_banks: usize,
+    /// The requested depth (1 for a winner search).
+    k: usize,
+    merge: Merge<T>,
     /// Per-shard answer deadline ([`crate::ServeConfig::shard_timeout`]).
     shard_deadline: Option<Instant>,
     policy: DegradedPolicy,
     topo: Arc<Topology>,
 }
 
-impl ShardTicket {
-    /// Blocks for the merged winner, discarding the coverage record —
+/// An in-flight fanned top-k search.
+pub type ShardTopKTicket = ShardTicket<Vec<(usize, f64)>>;
+
+impl<T> ShardTicket<T> {
+    /// Blocks for the merged answer, discarding the coverage record —
     /// see [`wait_covered`](Self::wait_covered).
     ///
     /// # Errors
     ///
     /// Same conditions as [`wait_covered`](Self::wait_covered).
-    pub fn wait(self) -> Result<(usize, f64), ServeError> {
+    pub fn wait(self) -> Result<T, ServeError> {
         self.wait_covered().map(|c| c.value)
     }
 
     /// Blocks until every live shard answered (or missed its per-shard
-    /// deadline), then merges: ascending conductance, exact ties to
-    /// the lowest global row (the contractual banked-merge order).
-    /// Shards that are empty contribute no candidates; if every
+    /// deadline), then merges in the contractual banked-merge order:
+    /// ascending conductance, exact ties to the lowest global row. A
+    /// winner keeps the best candidate; a top-k list keeps the `k`
+    /// best. Shards that are empty contribute no candidates; if every
     /// covered shard is empty the merged request reports
     /// [`CoreError::EmptyArray`].
     ///
@@ -1441,8 +1347,8 @@ impl ShardTicket {
     /// [`ServeError::Degraded`] as above; any shard's
     /// [`ServeError::DeadlineExceeded`] (the *request* deadline) still
     /// fails the merged request.
-    pub fn wait_covered(self) -> Result<Covered<(usize, f64)>, ServeError> {
-        let mut best: Option<(usize, f64)> = None;
+    pub fn wait_covered(self) -> Result<Covered<T>, ServeError> {
+        let mut answers: Vec<(usize, T)> = Vec::with_capacity(self.parts.len());
         let mut banks: Vec<usize> = Vec::new();
         let mut lost_banks = self.lost_banks;
         let mut dead: Option<ServeError> = None;
@@ -1463,15 +1369,9 @@ impl ShardTicket {
                 None => part.ticket.wait(),
             };
             match answer {
-                Ok((local, g)) => {
+                Ok(local) => {
                     banks.extend(part.bank_base..part.bank_base + n_banks);
-                    // Shards fold in ascending global-row order with a
-                    // strict `<`, so exact cross-shard ties keep the
-                    // earlier (lower global row) winner — identical to
-                    // the in-memory banked merge.
-                    if best.is_none_or(|(_, bg)| g < bg) {
-                        best = Some((part.row_base + local, g));
-                    }
+                    answers.push((part.row_base, local));
                 }
                 // An empty shard covered its (zero or more) banks; it
                 // just has no rows to contribute.
@@ -1515,119 +1415,10 @@ impl ShardTicket {
                 total: coverage.total,
             });
         }
-        match best {
+        match (self.merge)(answers, self.k) {
             Some(value) => Ok(Covered { value, coverage }),
             None => Err(ServeError::Core(CoreError::EmptyArray)),
         }
-    }
-}
-
-/// An in-flight fanned top-k search: wait on it to receive the merged
-/// hits, nearest first.
-#[derive(Debug)]
-pub struct ShardTopKTicket {
-    parts: Vec<Part<TopKTicket>>,
-    lost_banks: usize,
-    k: usize,
-    shard_deadline: Option<Instant>,
-    policy: DegradedPolicy,
-    topo: Arc<Topology>,
-}
-
-impl ShardTopKTicket {
-    /// Blocks for the merged hits, discarding the coverage record —
-    /// see [`wait_covered`](Self::wait_covered).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`wait_covered`](Self::wait_covered).
-    pub fn wait(self) -> Result<Vec<(usize, f64)>, ServeError> {
-        self.wait_covered().map(|c| c.value)
-    }
-
-    /// Blocks until every live shard answered, then merges the
-    /// candidate lists by ascending `(conductance, global_row)` and
-    /// truncates to `k`. Every global top-`k` row is within its own
-    /// shard's top-`k`, so the merge loses nothing over the covered
-    /// banks. Failed and timed-out shards degrade coverage exactly as
-    /// in [`ShardTicket::wait_covered`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ShardTicket::wait_covered`].
-    pub fn wait_covered(self) -> Result<Covered<Vec<(usize, f64)>>, ServeError> {
-        let mut candidates: Vec<(usize, f64)> = Vec::new();
-        let mut banks: Vec<usize> = Vec::new();
-        let mut lost_banks = self.lost_banks;
-        let mut any = false;
-        let mut dead: Option<ServeError> = None;
-        for part in self.parts {
-            let n_banks = part.ticket.banks_count();
-            let answer = match self.shard_deadline {
-                Some(deadline) => match part.ticket.wait_deadline(deadline) {
-                    Some(answer) => answer,
-                    None => {
-                        self.topo.mark_degraded(part.shard);
-                        lost_banks += n_banks;
-                        continue;
-                    }
-                },
-                None => part.ticket.wait(),
-            };
-            match answer {
-                Ok(hits) => {
-                    any = true;
-                    banks.extend(part.bank_base..part.bank_base + n_banks);
-                    candidates.extend(
-                        hits.into_iter()
-                            .map(|(local, g)| (part.row_base + local, g)),
-                    );
-                }
-                Err(ServeError::Core(CoreError::EmptyArray)) => {
-                    banks.extend(part.bank_base..part.bank_base + n_banks);
-                }
-                Err(e @ ServeError::DeadlineExceeded { .. }) => {
-                    if dead.is_none() {
-                        dead = Some(e);
-                    }
-                }
-                Err(ServeError::ShuttingDown | ServeError::DispatcherFailed { .. }) => {
-                    self.topo.mark_quarantined(part.shard);
-                    lost_banks += n_banks;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        if let Some(e) = dead {
-            // ORDERING: Relaxed — monotone client-stats counter.
-            self.topo
-                .counters
-                .deadline_rejected
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(e);
-        }
-        let coverage = Coverage {
-            searched: banks.len(),
-            total: banks.len() + lost_banks,
-            banks,
-        };
-        if coverage.degraded()
-            && (self.policy == DegradedPolicy::FailClosed || coverage.searched == 0)
-        {
-            return Err(ServeError::Degraded {
-                searched: coverage.searched,
-                total: coverage.total,
-            });
-        }
-        if !any {
-            return Err(ServeError::Core(CoreError::EmptyArray));
-        }
-        candidates.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        candidates.truncate(self.k);
-        Ok(Covered {
-            value: candidates,
-            coverage,
-        })
     }
 }
 
@@ -1759,29 +1550,30 @@ pub enum ServingHandle {
     Sharded(ShardedHandle),
 }
 
-/// An in-flight winner search on either front end.
+/// An in-flight search on either front end: the winner by default,
+/// the top-k hits as `ServingTicket<Vec<(usize, f64)>>`.
 #[derive(Debug)]
-pub enum ServingTicket {
+pub enum ServingTicket<T = (usize, f64)> {
     /// Ticket from a single-dispatcher server.
-    Single(Ticket),
+    Single(Ticket<T>),
     /// Merged fan-out ticket from a sharded server.
-    Sharded(ShardTicket),
+    Sharded(ShardTicket<T>),
 }
 
-impl ServingTicket {
-    /// Blocks until the winner arrives.
+impl<T> ServingTicket<T> {
+    /// Blocks until the answer arrives.
     ///
     /// # Errors
     ///
     /// Same conditions as [`Ticket::wait`] / [`ShardTicket::wait`].
-    pub fn wait(self) -> Result<(usize, f64), ServeError> {
+    pub fn wait(self) -> Result<T, ServeError> {
         match self {
             ServingTicket::Single(t) => t.wait(),
             ServingTicket::Sharded(t) => t.wait(),
         }
     }
 
-    /// Blocks for the winner plus its [`Coverage`] record (always full
+    /// Blocks for the answer plus its [`Coverage`] record (always full
     /// on a single-dispatcher server; possibly degraded on a sharded
     /// one).
     ///
@@ -1789,7 +1581,7 @@ impl ServingTicket {
     ///
     /// Same conditions as [`Ticket::wait_covered`] /
     /// [`ShardTicket::wait_covered`].
-    pub fn wait_covered(self) -> Result<Covered<(usize, f64)>, ServeError> {
+    pub fn wait_covered(self) -> Result<Covered<T>, ServeError> {
         match self {
             ServingTicket::Single(t) => t.wait_covered(),
             ServingTicket::Sharded(t) => t.wait_covered(),
@@ -1798,97 +1590,58 @@ impl ServingTicket {
 }
 
 impl ServingHandle {
-    /// Submits one query without blocking.
+    /// Submits one search without blocking.
     ///
     /// # Errors
     ///
     /// Same conditions as [`ServeHandle::submit`] /
     /// [`ShardedHandle::submit`].
-    pub fn submit(&self, query: &[u8]) -> Result<ServingTicket, ServeError> {
+    pub fn submit<'q>(&self, request: impl Into<Request<'q>>) -> Result<ServingTicket, ServeError> {
         match self {
-            ServingHandle::Single(h) => h.submit(query).map(ServingTicket::Single),
-            ServingHandle::Sharded(h) => h.submit(query).map(ServingTicket::Sharded),
+            ServingHandle::Single(h) => h.submit(request).map(ServingTicket::Single),
+            ServingHandle::Sharded(h) => h.submit(request).map(ServingTicket::Sharded),
         }
     }
 
-    /// Submits one query and blocks for the winner.
+    /// Submits one top-k search without blocking.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`ServeHandle::submit_top_k`] /
+    /// [`ShardedHandle::submit_top_k`].
+    pub fn submit_top_k<'q>(
+        &self,
+        request: impl Into<Request<'q>>,
+        k: usize,
+    ) -> Result<ServingTicket<Vec<(usize, f64)>>, ServeError> {
+        match self {
+            ServingHandle::Single(h) => h.submit_top_k(request, k).map(ServingTicket::Single),
+            ServingHandle::Sharded(h) => h.submit_top_k(request, k).map(ServingTicket::Sharded),
+        }
+    }
+
+    /// Submits one search and blocks for the winner.
     ///
     /// # Errors
     ///
     /// Same conditions as [`ServeHandle::search`] /
     /// [`ShardedHandle::search`].
-    pub fn search(&self, query: &[u8]) -> Result<(usize, f64), ServeError> {
-        match self {
-            ServingHandle::Single(h) => h.search(query),
-            ServingHandle::Sharded(h) => h.search(query),
-        }
+    pub fn search<'q>(&self, request: impl Into<Request<'q>>) -> Result<(usize, f64), ServeError> {
+        self.submit(request)?.wait()
     }
 
-    /// Submits one query at a chosen per-request [`Metric`] and blocks
-    /// for the winner.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ServeHandle::search_with_metric`] /
-    /// [`ShardedHandle::search_with_metric`].
-    pub fn search_with_metric(
-        &self,
-        query: &[u8],
-        metric: Metric,
-    ) -> Result<(usize, f64), ServeError> {
-        match self {
-            ServingHandle::Single(h) => h.search_with_metric(query, metric),
-            ServingHandle::Sharded(h) => h.search_with_metric(query, metric),
-        }
-    }
-
-    /// The `k` nearest rows at a chosen per-request [`Metric`],
-    /// nearest first.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ServeHandle::search_top_k_with_metric`] /
-    /// [`ShardedHandle::search_top_k_with_metric`].
-    pub fn search_top_k_with_metric(
-        &self,
-        query: &[u8],
-        k: usize,
-        metric: Metric,
-    ) -> Result<Vec<(usize, f64)>, ServeError> {
-        match self {
-            ServingHandle::Single(h) => h.search_top_k_with_metric(query, k, metric),
-            ServingHandle::Sharded(h) => h.search_top_k_with_metric(query, k, metric),
-        }
-    }
-
-    /// Submits one query with a deadline and blocks for the winner.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ServeHandle::search_with_deadline`] /
-    /// [`ShardedHandle::search_with_deadline`].
-    pub fn search_with_deadline(
-        &self,
-        query: &[u8],
-        budget: Duration,
-    ) -> Result<(usize, f64), ServeError> {
-        match self {
-            ServingHandle::Single(h) => h.search_with_deadline(query, budget),
-            ServingHandle::Sharded(h) => h.search_with_deadline(query, budget),
-        }
-    }
-
-    /// The `k` nearest rows for one query, nearest first.
+    /// The `k` nearest rows for one request, nearest first.
     ///
     /// # Errors
     ///
     /// Same conditions as [`ServeHandle::search_top_k`] /
     /// [`ShardedHandle::search_top_k`].
-    pub fn search_top_k(&self, query: &[u8], k: usize) -> Result<Vec<(usize, f64)>, ServeError> {
-        match self {
-            ServingHandle::Single(h) => h.search_top_k(query, k),
-            ServingHandle::Sharded(h) => h.search_top_k(query, k),
-        }
+    pub fn search_top_k<'q>(
+        &self,
+        request: impl Into<Request<'q>>,
+        k: usize,
+    ) -> Result<Vec<(usize, f64)>, ServeError> {
+        self.submit_top_k(request, k)?.wait()
     }
 
     /// Stores one word; returns the new global row index.
@@ -2116,24 +1869,27 @@ mod tests {
         );
         let handle = server.handle();
         assert!(matches!(
-            handle.search_with_deadline(&[0, 0, 0, 0], Duration::ZERO),
+            handle.search(Request::new(&[0, 0, 0, 0]).deadline(Duration::ZERO)),
             Err(ServeError::DeadlineExceeded { .. })
         ));
         assert!(matches!(
-            handle.submit_top_k_with_deadline(&[0, 0, 0, 0], 2, Duration::ZERO),
+            handle.submit_top_k(Request::new(&[0, 0, 0, 0]).deadline(Duration::ZERO), 2),
             Err(ServeError::DeadlineExceeded { .. })
         ));
         // Validation outranks the zero-budget check.
         assert!(matches!(
-            handle.submit_with_deadline(&[0, 0, 0], Duration::ZERO),
+            handle.submit(Request::new(&[0, 0, 0]).deadline(Duration::ZERO)),
             Err(ServeError::Core(CoreError::WordLengthMismatch { .. }))
         ));
         // A generous budget answers normally.
         assert!(handle
-            .search_with_deadline(&[0, 0, 0, 0], Duration::from_secs(10))
+            .search(Request::new(&[0, 0, 0, 0]).deadline(Duration::from_secs(10)))
             .is_ok());
         assert!(handle
-            .submit_top_k_with_deadline(&[0, 0, 0, 0], 1, Duration::from_secs(10))
+            .submit_top_k(
+                Request::new(&[0, 0, 0, 0]).deadline(Duration::from_secs(10)),
+                1
+            )
             .unwrap()
             .wait()
             .is_ok());

@@ -44,7 +44,8 @@ use femcam_core::{BankedMcam, ConductanceLut, LevelLadder, Precision, RoutedMcam
 use femcam_device::FefetModel;
 use femcam_serve::fault::{FaultKind, FaultPlan, FaultRule, FaultSite, CHAOS_PANIC};
 use femcam_serve::{
-    DegradedPolicy, McamServer, ServeConfig, ServeError, ServingHandle, ShardHealth, ShardedServer,
+    DegradedPolicy, McamServer, Request, ServeConfig, ServeError, ServingHandle, ShardHealth,
+    ShardedServer,
 };
 
 /// Injected panics unwind dispatcher threads by design; silence their
@@ -529,7 +530,7 @@ fn expired_deadline_outranks_quarantined_topology() {
         handle.search(&query),
         Err(ServeError::Degraded { .. })
     ));
-    match handle.search_with_deadline(&query, Duration::from_nanos(1)) {
+    match handle.search(Request::new(&query).deadline(Duration::from_nanos(1))) {
         Err(ServeError::DeadlineExceeded { .. }) => {}
         other => panic!("expired deadline must outrank Degraded, got {other:?}"),
     }
@@ -573,7 +574,7 @@ fn expired_deadline_outranks_quarantined_topology() {
         handle.search(&query),
         Err(ServeError::Degraded { searched: 0, .. })
     ));
-    match handle.search_with_deadline(&query, Duration::from_nanos(1)) {
+    match handle.search(Request::new(&query).deadline(Duration::from_nanos(1))) {
         Err(ServeError::DeadlineExceeded { .. }) => {}
         other => panic!("expired deadline must outrank a dead topology, got {other:?}"),
     }

@@ -9,8 +9,9 @@
 //!    bitwise — at every precision, every shard count, and under
 //!    interleaved stores (which route to the tail shard only).
 //! 2. **Top-k merge identity** — the fanned, per-shard-truncated
-//!    top-k merge equals [`BankedMcam::search_batch_top_k_with`] exactly
-//!    (order, rows, and conductance bits).
+//!    top-k merge and the single-dispatcher top-k both equal
+//!    [`BankedMcam::search_batch_top_k_with`] exactly (order, rows, and
+//!    conductance bits), including at `k = 0` and `k = usize::MAX`.
 //! 3. **Ties straddling shard boundaries** — duplicated rows placed in
 //!    different shards tie bit-for-bit, and the merged winner is the
 //!    lowest global row, exactly as the in-memory banked merge
@@ -20,9 +21,9 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use femcam_core::{BankedMcam, ConductanceLut, LevelLadder, Precision};
+use femcam_core::{BankedMcam, ConductanceLut, CoreError, LevelLadder, Precision};
 use femcam_device::FefetModel;
-use femcam_serve::{McamServer, ServeConfig, ServeError, ShardedServer};
+use femcam_serve::{McamServer, Request, ServeConfig, ServeError, ServingHandle, ShardedServer};
 
 fn precision_from(tag: u8) -> Precision {
     match tag % 3 {
@@ -113,8 +114,10 @@ proptest! {
         let _ = single.shutdown();
     }
 
-    /// The fanned top-k merge is bit-identical to the direct banked
-    /// top-k at every `k`, precision, and shard count.
+    /// The fanned top-k merge and the single-dispatcher top-k are
+    /// bit-identical to the direct banked top-k at every `k` (including
+    /// `k = 0` and `k = usize::MAX`, which clamp to no hits and to
+    /// every row), precision, and shard count.
     #[test]
     fn sharded_top_k_bit_identical_to_direct(
         bits in 2u8..=3,
@@ -129,25 +132,39 @@ proptest! {
         let precision = precision_from(precision_tag);
         let n_levels = 1usize << bits;
         let mut memory = empty_memory(bits, word_len, rows_per_bank);
+        let mut single = empty_memory(bits, word_len, rows_per_bank);
         let mut shadow = empty_memory(bits, word_len, rows_per_bank);
         for i in 0..n_rows {
             let word = gen_word(word_len, n_levels, seed, i);
             memory.store(&word).expect("store");
+            single.store(&word).expect("store");
             shadow.store(&word).expect("store");
         }
         let sharded = ShardedServer::start(memory, n_shards, serve_config(precision));
-        let handle = sharded.handle();
-        for salt in 0..3usize {
+        let single = McamServer::start(single, serve_config(precision));
+        let handles = [
+            ServingHandle::Sharded(sharded.handle()),
+            ServingHandle::Single(single.handle()),
+        ];
+        // The drawn depth plus both clamp edges, every case.
+        for (salt, k) in [(0usize, k), (1, k), (2, k), (0, 0), (1, usize::MAX)] {
             let query = gen_word(word_len, n_levels, seed ^ 0x7777, salt);
-            let served = handle.search_top_k(&query, k).expect("sharded top-k");
             let direct = shadow
                 .search_batch_top_k_with(&[&query[..]], k, precision)
                 .expect("direct top-k")
                 .remove(0);
-            prop_assert_eq!(served.len(), direct.len());
-            for (s, d) in served.iter().zip(&direct) {
-                prop_assert_eq!(s.0, d.0, "top-k row order");
-                prop_assert_eq!(s.1.to_bits(), d.1.to_bits(), "top-k conductance");
+            prop_assert_eq!(direct.len(), k.min(n_rows));
+            for handle in &handles {
+                let served = handle
+                    .submit_top_k(Request::new(&query), k)
+                    .expect("top-k admitted")
+                    .wait()
+                    .expect("top-k answered");
+                prop_assert_eq!(served.len(), direct.len());
+                for (s, d) in served.iter().zip(&direct) {
+                    prop_assert_eq!(s.0, d.0, "top-k row order");
+                    prop_assert_eq!(s.1.to_bits(), d.1.to_bits(), "top-k conductance");
+                }
             }
         }
     }
@@ -254,15 +271,63 @@ fn sharded_rejections_fail_cleanly() {
         .handle()
         .search(&[1, 2, 3, 0])
         .expect("slots released after rejected fan-out");
+    // Edge inputs on both front ends, through `Request`: a zero budget
+    // is rejected at submission and counted once (on the sharded front
+    // end at the client level, never per shard); a malformed word
+    // reports its validation error whatever its budget, and is not
+    // counted as a deadline rejection.
+    let mut memory = empty_memory(3, 4, 2);
+    for i in 0..4u8 {
+        memory.store(&[i, i, i, i]).expect("store");
+    }
+    let single = McamServer::start(memory, ServeConfig::default());
+    let zero = |q: &'static [u8]| Request::new(q).deadline(Duration::ZERO);
+    for handle in [
+        ServingHandle::Single(single.handle()),
+        ServingHandle::Sharded(sharded.handle()),
+    ] {
+        assert!(matches!(
+            handle.submit(zero(&[1, 2, 3, 0])),
+            Err(ServeError::DeadlineExceeded { budget, waited })
+                if budget.is_zero() && waited.is_zero()
+        ));
+        assert!(matches!(
+            handle.submit_top_k(zero(&[1, 2, 3, 0]), 2),
+            Err(ServeError::DeadlineExceeded { .. })
+        ));
+        assert!(matches!(
+            handle.submit(zero(&[1, 2, 3])),
+            Err(ServeError::Core(CoreError::WordLengthMismatch { .. }))
+        ));
+        assert!(matches!(
+            handle.submit_top_k(zero(&[1, 2, 3, 9]), 2),
+            Err(ServeError::Core(CoreError::LevelOutOfRange { .. }))
+        ));
+        // A budget too large to add to the clock is no deadline at
+        // all: the request answers, never panics the client thread.
+        let endless = Request::new(&[1, 2, 3, 0]).deadline(Duration::MAX);
+        assert_eq!(
+            handle.search(endless).expect("endless budget answers"),
+            handle.search(&[1, 2, 3, 0]).expect("no budget answers")
+        );
+    }
+    assert_eq!(single.stats().deadline_rejected, 2);
+    let stats = sharded.stats();
+    assert_eq!(stats.deadline_rejected, 2);
+    assert_eq!(stats.merged().deadline_rejected, 2);
+    assert!(stats.per_shard.iter().all(|s| s.deadline_rejected == 0));
     // Dead-on-arrival across the fan-out: a 1 ns budget expires before
-    // any shard dispatcher pops the request.
+    // any shard dispatcher pops the request. The merged request counts
+    // once at the client level, however many shards rejected a copy.
     let ticket = handle
-        .submit_with_deadline(&[1, 2, 3, 0], Duration::from_nanos(1))
+        .submit(Request::new(&[1, 2, 3, 0]).deadline(Duration::from_nanos(1)))
         .expect("admitted");
     assert!(matches!(
         ticket.wait(),
         Err(ServeError::DeadlineExceeded { .. })
     ));
+    assert_eq!(sharded.stats().deadline_rejected, 3);
+    let _ = single.shutdown();
     let _ = sharded.shutdown();
     assert!(matches!(
         handle.search(&[1, 2, 3, 0]),

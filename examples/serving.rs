@@ -168,11 +168,11 @@ fn main() -> femcam_core::Result<()> {
     //    zero budget is dead on arrival and rejected without running.
     let query = random_word(&mut rng);
     let within = shandle
-        .search_with_deadline(&query, Duration::from_millis(50))
+        .search(Request::new(&query).deadline(Duration::from_millis(50)))
         .expect("within budget");
     let direct = shadow.search_batch_winners_with(&[&query], Precision::Codes)?;
     assert_eq!(within, direct[0]);
-    let doa = shandle.search_with_deadline(&query, Duration::ZERO);
+    let doa = shandle.search(Request::new(&query).deadline(Duration::ZERO));
     assert!(matches!(doa, Err(ServeError::DeadlineExceeded { .. })));
     let merged = sharded.stats().merged();
     println!(

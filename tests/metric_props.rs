@@ -505,7 +505,13 @@ fn served_per_request_metric_matches_direct_under_stores() {
         let tickets: Vec<(Ticket, Metric, &Vec<u8>)> = Metric::ALL
             .into_iter()
             .zip(&queries)
-            .map(|(metric, q)| (handle.submit_with_metric(q, metric).unwrap(), metric, q))
+            .map(|(metric, q)| {
+                (
+                    handle.submit(Request::new(q).metric(metric)).unwrap(),
+                    metric,
+                    q,
+                )
+            })
             .collect();
         for (ticket, metric, q) in tickets {
             let served = ticket.wait().unwrap();
@@ -524,7 +530,9 @@ fn served_per_request_metric_matches_direct_under_stores() {
         // Top-k rides the same per-request metric.
         let q = gen_word(4, 8, 7, step);
         for metric in [Metric::L1, Metric::Linf] {
-            let served = handle.search_top_k_with_metric(&q, 3, metric).unwrap();
+            let served = handle
+                .search_top_k(Request::new(&q).metric(metric), 3)
+                .unwrap();
             let want = direct
                 .search_batch_top_k_with(&[&q], 3, spec(Precision::F64, metric))
                 .unwrap()
